@@ -124,8 +124,8 @@ LevelResult RunLevel(const BenchShape& shape, double contention) {
       const auto channel = ppr::arq::MakeChipErrorChannel(
           codebook, shape.chip_error_p, channel_rng);
       const auto outcome = ppr::collide::RunCollisionRecoveryExchange(
-          payload, config, *strategy, channel, params, episode_rng,
-          listener_config, resolve);
+          payload, *strategy, channel, params, episode_rng, listener_config,
+          resolve);
       LegResult& leg = resolve ? level.resolve : level.discard;
       ++leg.episodes;
       leg.completed += outcome.totals.success;

@@ -14,12 +14,10 @@ namespace ppr::arq {
 phy::DecodedSymbol ChipTransmitNibble(const phy::ChipCodebook& codebook,
                                       std::uint8_t nibble,
                                       double chip_error_p, Rng& rng) {
-  const phy::ChipWord sent = codebook.Codeword(nibble);
-  const phy::ChipWord received =
-      sent ^ phy::SampleChipErrorMask(rng, chip_error_p);
   phy::DecodedSymbol d;
   int distance = 0;
-  d.symbol = static_cast<std::uint8_t>(codebook.DecodeHard(received, &distance));
+  d.symbol = static_cast<std::uint8_t>(codebook.DecodeSent(
+      nibble, phy::SampleChipErrorMask(rng, chip_error_p), &distance));
   d.hamming_distance = distance;
   d.hint = static_cast<double>(distance);
   return d;

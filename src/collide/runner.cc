@@ -8,8 +8,7 @@
 namespace ppr::collide {
 
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
-    const BitVec& payload_bits, const arq::PpArqConfig& config,
-    const arq::RecoveryStrategy& strategy,
+    const BitVec& payload_bits, const arq::RecoveryStrategy& strategy,
     const arq::BodyChannel& repair_channel,
     const CollisionEpisodeParams& episode_params, Rng& episode_rng,
     const CollisionListenerConfig& listener_config, bool resolve,

@@ -39,8 +39,7 @@ struct CollisionExchangeOutcome {
 // discard and resolve legs pay identical initial airtime, so any
 // repair-bit difference is pure collision-recovery yield.
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
-    const BitVec& payload_bits, const arq::PpArqConfig& config,
-    const arq::RecoveryStrategy& strategy,
+    const BitVec& payload_bits, const arq::RecoveryStrategy& strategy,
     const arq::BodyChannel& repair_channel,
     const CollisionEpisodeParams& episode_params, Rng& episode_rng,
     const CollisionListenerConfig& listener_config, bool resolve,

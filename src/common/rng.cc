@@ -17,10 +17,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -28,41 +24,8 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& s : s_) s = SplitMix64(sm);
 }
 
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::UniformDouble() {
-  // 53 high-quality bits -> double in [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Rng::UniformDouble(double lo, double hi) {
   return lo + (hi - lo) * UniformDouble();
-}
-
-std::uint64_t Rng::UniformInt(std::uint64_t bound) {
-  assert(bound > 0);
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = Next();
-    if (r >= threshold) return r % bound;
-  }
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 double Rng::Normal() {

@@ -6,6 +6,8 @@
 // adequate for Monte-Carlo channel simulation.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
 
 namespace ppr {
@@ -24,20 +26,46 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
+  // The integer-exact draws are defined here so that per-chip loops
+  // inline them; the libm-based ones (Normal, Exponential) are in rng.cc.
   std::uint64_t operator()() { return Next(); }
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  // Uniform in [0, 1).
-  double UniformDouble();
+  // Uniform in [0, 1): 53 high-quality bits.
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   // Uniform in [lo, hi).
   double UniformDouble(double lo, double hi);
 
   // Uniform integer in [0, bound). bound must be > 0.
-  std::uint64_t UniformInt(std::uint64_t bound);
+  std::uint64_t UniformInt(std::uint64_t bound) {
+    assert(bound > 0);
+    // Rejection sampling to avoid modulo bias.
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+      const std::uint64_t r = Next();
+      if (r >= threshold) return r % bound;
+    }
+  }
 
   // True with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
 
   // Standard normal via Box-Muller (deterministic across platforms,
   // unlike std::normal_distribution).

@@ -44,7 +44,8 @@ std::array<ChipWord, kNumSymbols> BuildTable() {
 
 }  // namespace
 
-ChipCodebook::ChipCodebook() : table_(BuildTable()) {}
+ChipCodebook::ChipCodebook()
+    : table_(BuildTable()), unique_radius_((MinPairwiseDistance() - 1) / 2) {}
 
 ChipWord ChipCodebook::Codeword(int symbol) const {
   assert(symbol >= 0 && symbol < kNumSymbols);

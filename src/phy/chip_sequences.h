@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "common/bitvec.h"
@@ -45,6 +46,20 @@ class ChipCodebook {
   // symbol value, deterministically.
   int DecodeHard(ChipWord received, int* distance) const;
 
+  // DecodeHard(Codeword(symbol) ^ error_mask, distance), for callers that
+  // know the sent symbol. An error mask lighter than half the minimum
+  // pairwise distance leaves the sent codeword strictly nearest, so it
+  // decodes to `symbol` at distance popcount(error_mask) without the
+  // sixteen-way search; heavier masks (which can tie) take DecodeHard.
+  int DecodeSent(int symbol, ChipWord error_mask, int* distance) const {
+    const int weight = std::popcount(error_mask);
+    if (weight <= unique_radius_) {
+      if (distance != nullptr) *distance = weight;
+      return symbol;
+    }
+    return DecodeHard(Codeword(symbol) ^ error_mask, distance);
+  }
+
   // Soft-decision decode (section 3.1, "correlation metric"): `soft`
   // holds one soft chip value per chip position (sign = chip decision,
   // magnitude = reliability, e.g. matched-filter outputs). Returns the
@@ -60,6 +75,7 @@ class ChipCodebook {
 
  private:
   std::array<ChipWord, kNumSymbols> table_;
+  int unique_radius_;  // (MinPairwiseDistance() - 1) / 2
 };
 
 // Hamming distance between two packed chip words.

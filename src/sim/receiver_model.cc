@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "phy/channel.h"
 #include "phy/spreader.h"
@@ -50,8 +51,7 @@ ReceiverModel::ReceiverModel(const RadioMedium& medium,
                              const ReceiverModelConfig& config)
     : medium_(medium), config_(config), layout_(config.payload_octets) {}
 
-std::vector<std::uint8_t> ReceiverModel::TrueSymbols(std::size_t sender,
-                                                     std::uint16_t seq) const {
+std::vector<std::uint8_t> ReceiverModel::SyncSymbols() const {
   std::vector<std::uint8_t> symbols(layout_.TotalSymbols(), 0);
 
   // Sync prefix: preamble octets then SFD, two symbols per octet (low
@@ -61,14 +61,6 @@ std::vector<std::uint8_t> ReceiverModel::TrueSymbols(std::size_t sender,
     symbols[2 * i] = pre[i] & 0xF;
     symbols[2 * i + 1] = (pre[i] >> 4) & 0xF;
   }
-  // Body: deterministic test pattern (uniform random symbols), as in the
-  // paper's known-test-pattern experiments.
-  Rng rng(FrameSeed(config_.seed, sender, seq));
-  const std::size_t body_first = frame::kSyncPrefixOctets * 2;
-  const std::size_t body_count = layout_.BodyOctets() * 2;
-  for (std::size_t i = 0; i < body_count; ++i) {
-    symbols[body_first + i] = static_cast<std::uint8_t>(rng.UniformInt(16));
-  }
   // Sync suffix: postamble octets then the post-SFD.
   const auto post = frame::PostamblePatternOctets();
   const std::size_t post_first = layout_.PostambleOffset() * 2;
@@ -77,6 +69,18 @@ std::vector<std::uint8_t> ReceiverModel::TrueSymbols(std::size_t sender,
     symbols[post_first + 2 * i + 1] = (post[i] >> 4) & 0xF;
   }
   return symbols;
+}
+
+void ReceiverModel::FillTestPattern(std::size_t sender, std::uint16_t seq,
+                                    std::vector<std::uint8_t>& symbols) const {
+  // Body: deterministic test pattern (uniform random symbols), as in the
+  // paper's known-test-pattern experiments.
+  Rng rng(FrameSeed(config_.seed, sender, seq));
+  const std::size_t body_first = frame::kSyncPrefixOctets * 2;
+  const std::size_t body_count = layout_.BodyOctets() * 2;
+  for (std::size_t i = 0; i < body_count; ++i) {
+    symbols[body_first + i] = static_cast<std::uint8_t>(rng.UniformInt(16));
+  }
 }
 
 void ReceiverModel::ProcessReceiver(
@@ -92,7 +96,37 @@ void ReceiverModel::ProcessReceiver(
 
   Rng rx_rng(config_.seed ^ (0xC0FFEEull + receiver));
 
+  // A transmitter's fading gain is constant over a coherence segment
+  // (hundreds of codewords), so each one is memoised on its segment.
+  struct FadedGain {
+    std::int64_t segment = std::numeric_limits<std::int64_t>::min();
+    double gain = 1.0;
+  };
+  const auto gain_at = [&](FadedGain& g, std::size_t tx,
+                           std::int64_t segment) {
+    if (g.segment != segment) {
+      g.segment = segment;
+      g.gain = FadingGain(config_.seed, tx, receiver, segment,
+                          config_.ricean_k);
+    }
+    return g.gain;
+  };
+  // The chip error rate only moves at segment and interferer boundaries.
+  double last_sinr = std::numeric_limits<double>::quiet_NaN();
+  double p_sinr = 0.0;
+
+  struct Interferer {
+    double start, end, power_mw;
+    std::size_t sender;
+    FadedGain fading;
+  };
+  // Per-reception buffers, reused across the schedule.
+  std::vector<Interferer> interferers;
+  std::vector<std::uint8_t> true_symbols = SyncSymbols();
+  assert(true_symbols.size() == num_cws);
   ReceptionRecord record;
+  record.trace.resize(num_cws);
+
   for (std::size_t ti = 0; ti < schedule.size(); ++ti) {
     const Transmission& t = schedule[ti];
     if (t.sender == receiver) continue;
@@ -108,15 +142,10 @@ void ReceiverModel::ProcessReceiver(
     record.postamble_sync = false;
     record.header_ok = false;
     record.trailer_ok = false;
-    record.trace.clear();
 
     // Gather interferers overlapping this transmission. The schedule is
     // sorted by start time; scan a window around ti.
-    struct Interferer {
-      double start, end, power_mw;
-      std::size_t sender;
-    };
-    std::vector<Interferer> interferers;
+    interferers.clear();
     for (std::size_t j = ti; j-- > 0;) {
       const Transmission& o = schedule[j];
       // Frames all share one duration, so anything starting more than
@@ -127,14 +156,16 @@ void ReceiverModel::ProcessReceiver(
       }
       if (o.sender == t.sender || o.sender == receiver) continue;
       interferers.push_back({o.start_s, o.End(),
-                             medium_.RxPowerMw(o.sender, receiver), o.sender});
+                             medium_.RxPowerMw(o.sender, receiver), o.sender,
+                             {}});
     }
     for (std::size_t j = ti + 1; j < schedule.size(); ++j) {
       const Transmission& o = schedule[j];
       if (o.start_s >= t.End()) break;
       if (o.sender == t.sender || o.sender == receiver) continue;
       interferers.push_back({o.start_s, o.End(),
-                             medium_.RxPowerMw(o.sender, receiver), o.sender});
+                             medium_.RxPowerMw(o.sender, receiver), o.sender,
+                             {}});
     }
 
     // Per-link impairment-burst rate (lognormal across links) and the
@@ -152,9 +183,8 @@ void ReceiverModel::ProcessReceiver(
 
     // Decode every codeword at its own SINR.
     const double p_signal_avg_mw = medium_.RxPowerMw(t.sender, receiver);
-    const auto true_symbols = TrueSymbols(t.sender, t.seq);
-    assert(true_symbols.size() == num_cws);
-    record.trace.resize(num_cws);
+    FillTestPattern(t.sender, t.seq, true_symbols);
+    FadedGain signal_fading;
     const double coherence =
         config_.fading_coherence_s > 0.0 ? config_.fading_coherence_s : 1.0;
     for (std::size_t cw = 0; cw < num_cws; ++cw) {
@@ -163,18 +193,16 @@ void ReceiverModel::ProcessReceiver(
       const auto segment = static_cast<std::int64_t>(w0 / coherence);
       double p_signal_mw = p_signal_avg_mw;
       if (config_.fading_enabled) {
-        p_signal_mw *= FadingGain(config_.seed, t.sender, receiver, segment,
-                                  config_.ricean_k);
+        p_signal_mw *= gain_at(signal_fading, t.sender, segment);
       }
       double interference_mw = 0.0;
-      for (const auto& intf : interferers) {
+      for (auto& intf : interferers) {
         const double overlap =
             std::min(w1, intf.end) - std::max(w0, intf.start);
         if (overlap > 0.0) {
           double p = intf.power_mw;
           if (config_.fading_enabled) {
-            p *= FadingGain(config_.seed, intf.sender, receiver, segment,
-                            config_.ricean_k);
+            p *= gain_at(intf.fading, intf.sender, segment);
           }
           interference_mw += p * (overlap / kCodewordSeconds);
         }
@@ -182,7 +210,10 @@ void ReceiverModel::ProcessReceiver(
       const double sinr =
           p_signal_mw /
           (noise_mw + config_.interference_penalty * interference_mw);
-      const double p_sinr = phy::ChipErrorProbability(sinr);
+      if (sinr != last_sinr) {
+        last_sinr = sinr;
+        p_sinr = phy::ChipErrorProbability(sinr);
+      }
       // Advance the impairment burst state and combine the error
       // processes (independent): SINR-driven errors plus either the
       // clean-state floor or the in-burst error rate.
@@ -196,11 +227,9 @@ void ReceiverModel::ProcessReceiver(
       const double p_chip = p_sinr + p_res - p_sinr * p_res;
 
       const std::uint8_t true_sym = true_symbols[cw];
-      const phy::ChipWord sent = codebook_.Codeword(true_sym);
-      const phy::ChipWord received =
-          sent ^ phy::SampleChipErrorMask(rx_rng, p_chip);
       int distance = 0;
-      const int decoded = codebook_.DecodeHard(received, &distance);
+      const int decoded = codebook_.DecodeSent(
+          true_sym, phy::SampleChipErrorMask(rx_rng, p_chip), &distance);
 
       CodewordOutcome& out = record.trace[cw];
       out.true_symbol = true_sym;

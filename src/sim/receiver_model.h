@@ -114,10 +114,13 @@ class ReceiverModel {
   const ReceiverModelConfig& config() const { return config_; }
 
  private:
-  // True symbols for a (sender, seq) frame: sync patterns at both ends,
-  // deterministic pseudo-random test pattern in the body.
-  std::vector<std::uint8_t> TrueSymbols(std::size_t sender,
-                                        std::uint16_t seq) const;
+  // A frame's true symbols with the sync patterns at both ends and a
+  // zero body for FillTestPattern to overwrite.
+  std::vector<std::uint8_t> SyncSymbols() const;
+  // Writes the (sender, seq) frame's deterministic pseudo-random test
+  // pattern into the body of `symbols`.
+  void FillTestPattern(std::size_t sender, std::uint16_t seq,
+                       std::vector<std::uint8_t>& symbols) const;
 
   const RadioMedium& medium_;
   ReceiverModelConfig config_;

@@ -136,8 +136,8 @@ TEST(CollisionRunnerTest, ResolveDeliversWithFewerRepairBitsThanDiscard) {
       const auto channel =
           arq::MakeChipErrorChannel(codebook, 0.0, channel_rng);
       const auto outcome = RunCollisionRecoveryExchange(
-          payload, config, *strategy, channel, params, episode_rng,
-          listener_config, resolve);
+          payload, *strategy, channel, params, episode_rng, listener_config,
+          resolve);
       EXPECT_TRUE(outcome.totals.success);
       std::size_t repair = 0;
       for (const auto bits : outcome.totals.retransmission_bits) {

@@ -128,5 +128,26 @@ TEST(RngTest, SatisfiesUniformRandomBitGenerator) {
   EXPECT_NE(rng(), rng());
 }
 
+// Pins the first draws of one seed, so the stream every seeded
+// experiment depends on cannot change unnoticed. The integer-exact
+// draws are compared exactly; Normal goes through libm and is compared
+// to within 4 ulps.
+TEST(RngTest, FirstDrawsPinned) {
+  Rng next(2024), uniform(2024), integer(2024), coin(2024), normal(2024);
+  const std::uint64_t kNext[] = {0x0E48715A13D7772Eull, 0xC837F3EE8A7A1065ull,
+                                 0x1272314B15EE5001ull, 0x28E323A6ABE2A46Bull};
+  const double kUniform[] = {0.055792889110163335, 0.78210377286675503,
+                            0.072054940062963313, 0.15971587008597021};
+  const std::uint64_t kInteger[] = {14, 5, 1, 11, 7, 5, 8, 12};
+  const bool kCoin[] = {true, false, true, true, false, true, false, true};
+  const double kNormal[] = {0.48134687406176407, 1.2324336570310905,
+                           0.023078911007318733, -0.060044502727841918};
+  for (const auto v : kNext) EXPECT_EQ(next.Next(), v);
+  for (const auto v : kUniform) EXPECT_EQ(uniform.UniformDouble(), v);
+  for (const auto v : kInteger) EXPECT_EQ(integer.UniformInt(16), v);
+  for (const auto v : kCoin) EXPECT_EQ(coin.Bernoulli(0.3), v);
+  for (const auto v : kNormal) EXPECT_DOUBLE_EQ(normal.Normal(), v);
+}
+
 }  // namespace
 }  // namespace ppr

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/rng.h"
 
 namespace ppr::phy {
@@ -154,6 +156,58 @@ TEST(ChipCodebookTest, CodewordBitsMatchesChipAccessor) {
       EXPECT_EQ(bits.Get(static_cast<std::size_t>(i)), cb.Chip(s, i));
     }
   }
+}
+
+// DecodeSent must agree with DecodeHard on the corrupted codeword for
+// every symbol and every error mask up to the shortcut's radius, and on
+// random heavier masks (weight 6 included, where ties can occur).
+TEST(ChipCodebookTest, DecodeSentMatchesDecodeHard) {
+  const ChipCodebook cb;
+  std::size_t mismatches = 0, cases = 0;
+  const auto check = [&](int s, ChipWord mask) {
+    int sent_distance = -1, hard_distance = -1;
+    const int sent = cb.DecodeSent(s, mask, &sent_distance);
+    const int hard = cb.DecodeHard(cb.Codeword(s) ^ mask, &hard_distance);
+    if (sent != hard || sent_distance != hard_distance) {
+      if (mismatches++ == 0) {
+        ADD_FAILURE() << "symbol " << s << " mask 0x" << std::hex << mask;
+      }
+    }
+    ++cases;
+  };
+  const int radius = (cb.MinPairwiseDistance() - 1) / 2;
+  for (int s = 0; s < kNumSymbols; ++s) {
+    check(s, 0);
+    for (int weight = 1; weight <= radius; ++weight) {
+      // Gosper's hack: every 32-bit mask with `weight` set bits, in order.
+      ChipWord mask = (ChipWord{1} << weight) - 1;
+      for (;;) {
+        check(s, mask);
+        const ChipWord low = mask & (~mask + 1);
+        const ChipWord ripple = mask + low;
+        if (ripple == 0) break;  // the top `weight` bits were set
+        mask = ripple | (((mask ^ ripple) >> 2) / low);
+      }
+    }
+  }
+  std::size_t masks = 0, binomial = 1;  // sum over k <= radius of C(32, k)
+  for (int k = 0; k <= radius; ++k) {
+    masks += binomial;
+    binomial = binomial * (kChipsPerSymbol - k) / (k + 1);
+  }
+  EXPECT_EQ(cases, kNumSymbols * masks);
+  Rng rng(23);
+  for (int trial = 0; trial < 200000; ++trial) {
+    const int s = static_cast<int>(rng.UniformInt(kNumSymbols));
+    ChipWord mask = 0;
+    const int weight =
+        radius + 1 + static_cast<int>(rng.UniformInt(kChipsPerSymbol - radius));
+    while (std::popcount(mask) < weight) {
+      mask |= ChipWord{1} << rng.UniformInt(kChipsPerSymbol);
+    }
+    check(s, mask);
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // Exhaustive single-error sweep: any one-chip error must decode to the
