@@ -157,6 +157,60 @@ TEST(FlowEngineTest, ExportsEngineMetrics) {
 }
 #endif  // !PPR_OBS_OFF
 
+// Golden pins for the per-flow decoders: an FNV-1a digest over every
+// EngineStats field of seeded runs under each codec, narrow and wide
+// flow shapes, with a second spawn wave landing in retired slots.
+// FinishFlow memcmps every recovered symbol against the flow's ground
+// truth (and throws on divergence), so a run that completes also pins
+// the recovered bytes; the digest pins the trajectory that got there.
+std::uint64_t DigestEngineRun(const EngineConfig& config) {
+  FlowEngine engine(config);
+  for (FlowId f = 0; f < 256; ++f) engine.SpawnFlow(f);
+  engine.RunUntil(3);
+  for (FlowId f = 256; f < 512; ++f) engine.SpawnFlow(f);
+  engine.RunAll();
+  const EngineStats& s = engine.stats();
+  EXPECT_EQ(s.flows_completed + s.flows_failed, 512u);
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint64_t v :
+       {s.flows_spawned, s.flows_completed, s.flows_failed, s.rounds,
+        s.repairs_sent, s.repairs_delivered, s.batch_calls, s.batch_bytes}) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001B3ull;
+    }
+  }
+  return h;
+}
+
+TEST(FlowEngineTest, GoldenStatsDigestUnchanged) {
+  EngineConfig wide = SmallConfig(12);
+  wide.n_source = 48;
+  wide.symbol_bytes = 96;
+  wide.max_deficit = 12;
+  wide.record_loss = 0.3;
+  const struct {
+    const char* name;
+    EngineConfig config;
+    fec::CodecKind codec;
+    std::uint64_t digest;
+  } kGolden[] = {
+      {"rlnc-small", SmallConfig(11), fec::CodecKind::kRlnc,
+       0x0b8a39fa145b487bull},
+      {"rlnc-wide", wide, fec::CodecKind::kRlnc, 0xd60f05ad179ebf34ull},
+      {"rs-small", SmallConfig(11), fec::CodecKind::kReedSolomon,
+       0x2f77711ebb6257d8ull},
+      {"rs-wide", wide, fec::CodecKind::kReedSolomon, 0xbc1f1f44ec31061bull},
+  };
+  for (const auto& g : kGolden) {
+    EngineConfig config = g.config;
+    config.codec = g.codec;
+    const std::uint64_t digest = DigestEngineRun(config);
+    EXPECT_EQ(digest, g.digest)
+        << g.name << std::hex << " digest 0x" << digest;
+  }
+}
+
 // ---------------------------------------------------- compat sessions
 
 arq::GilbertElliottParams DegradedParams() {
