@@ -20,7 +20,9 @@
 #include <cstring>
 #include <vector>
 
+#include "arq/link_sim.h"
 #include "bench_util.h"
+#include "common/rng.h"
 #include "ppr/link.h"
 
 int main(int argc, char** argv) {
@@ -73,12 +75,16 @@ int main(int argc, char** argv) {
       arq::PpArqConfig config;
       config.relay_airtime_budget_bits = leg.budget_bits;
       Rng payload_rng(1704 + i);
+      // Channel seeds follow the packet index: each packet is a fresh
+      // noise and interferer realization, and every leg sees the same
+      // one for the same packet.
+      core::WaveformChannelParams params = direct;
+      params.seed = 1701 + 31 * static_cast<std::uint64_t>(i);
       if (leg.relays == 0) {
         config.recovery = arq::RecoveryMode::kCodedRepair;
-        core::WaveformChannelParams params = direct;
-        params.seed = 1701;
-        const auto stats = core::RunWaveformPpArq(payload_octets, config,
-                                                  params, payload_rng);
+        const auto stats = arq::RunPpArqExchange(
+            core::RandomPayload(payload_octets, payload_rng), config,
+            core::MakeWaveformChannel(params));
         if (stats.success) ++completed;
         for (const auto bits : stats.retransmission_bits) {
           source_bits += bits;
@@ -88,12 +94,10 @@ int main(int argc, char** argv) {
       std::vector<core::RelayWaveformParams> relays(leg.relays);
       for (std::size_t r = 0; r < relays.size(); ++r) {
         // Staggered overhear quality ranks the relays ExOR-style.
-        relays[r].overhear =
-            relay_hop(10.0 - static_cast<double>(r), 1800 + 2 * r);
-        relays[r].relay_link = relay_hop(10.0, 1801 + 2 * r);
+        relays[r].overhear = relay_hop(10.0 - static_cast<double>(r),
+                                       1800 + 100 * i + 2 * r);
+        relays[r].relay_link = relay_hop(10.0, 1801 + 100 * i + 2 * r);
       }
-      core::WaveformChannelParams params = direct;
-      params.seed = 1701;
       const auto stats = core::RunWaveformMultiRelayRecovery(
           payload_octets, config, params, relays, payload_rng);
       if (stats.totals.success) ++completed;

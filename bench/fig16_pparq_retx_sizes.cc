@@ -4,6 +4,7 @@
 // paper's median retransmission is about half the full packet size.
 #include <cstdio>
 
+#include "arq/link_sim.h"
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -28,13 +29,16 @@ int main() {
 
   arq::PpArqConfig arq_config;
   Rng payload_rng(1602);
+  // One link for the whole run: every packet sees its own noise and
+  // collision draws, as back-to-back packets on a real link do.
+  const arq::BodyChannel channel = core::MakeWaveformChannel(params);
 
   CdfCollector retx_bytes;
   std::size_t packets = 0, completed = 0, total_retx = 0;
   const int kPackets = 40;
   for (int i = 0; i < kPackets; ++i) {
-    const auto stats =
-        core::RunWaveformPpArq(250, arq_config, params, payload_rng);
+    const auto stats = arq::RunPpArqExchange(
+        core::RandomPayload(250, payload_rng), arq_config, channel);
     ++packets;
     if (stats.success) ++completed;
     for (const auto bits : stats.retransmission_bits) {

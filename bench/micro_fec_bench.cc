@@ -137,7 +137,9 @@ void BM_RlncDecode(benchmark::State& state) {
   }
   for (auto _ : state) {
     fec::RlncDecoder decoder(n, bytes);
-    for (std::size_t i = erasures; i < n; ++i) decoder.AddSource(i, block[i]);
+    for (std::size_t i = erasures; i < n; ++i) {
+      decoder.AddSourceSpan(i, block[i]);
+    }
     std::size_t r = 0;
     while (!decoder.Complete() && r < repairs.size()) {
       decoder.AddRepair(repairs[r++]);

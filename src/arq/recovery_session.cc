@@ -160,35 +160,6 @@ PartyId RecoverySession::AddParty(
   return parties_.size() - 1;
 }
 
-void RecoverySession::SetEdgeChannel(PartyId from, PartyId to,
-                                     BodyChannel channel) {
-  if (from >= parties_.size() || to >= parties_.size() || from == to) {
-    throw std::invalid_argument("RecoverySession: bad edge");
-  }
-  edges_[{from, to}] = std::move(channel);
-}
-
-void RecoverySession::SetInitialBroadcast(PartyId from,
-                                          std::vector<PartyId> listeners,
-                                          BroadcastBodyChannel channel) {
-  if (!channel) {
-    throw std::invalid_argument("RecoverySession: null broadcast channel");
-  }
-  for (const PartyId id : listeners) {
-    if (id >= parties_.size() || id == from) {
-      throw std::invalid_argument("RecoverySession: bad broadcast listener");
-    }
-  }
-  broadcast_from_ = from;
-  broadcast_listeners_ = std::move(listeners);
-  broadcast_channel_ = std::move(channel);
-}
-
-void RecoverySession::SetRelayAirtimeBudget(std::size_t bits_per_round) {
-  relay_airtime_budget_ = bits_per_round == 0 ? kNoAirtimeBudget
-                                              : bits_per_round;
-}
-
 DestinationParticipant* RecoverySession::Destination() const {
   for (const auto& p : parties_) {
     if (p->role() == PartyRole::kDestination) {
@@ -502,19 +473,6 @@ SessionRunStats RunMultiRelayRecoveryExchange(
   }
   session.TransmitInitial(source, body);
   return session.Run(max_rounds);
-}
-
-SessionRunStats RunRelayRecoveryExchange(const BitVec& payload_bits,
-                                         const PpArqConfig& config,
-                                         const RecoveryStrategy& strategy,
-                                         const RelayExchangeChannels& channels,
-                                         std::size_t max_rounds) {
-  MultiRelayExchangeChannels multi;
-  multi.source_to_destination = channels.source_to_destination;
-  multi.source_to_relay = {channels.source_to_relay};
-  multi.relay_to_destination = {channels.relay_to_destination};
-  return RunMultiRelayRecoveryExchange(payload_bits, config, strategy, multi,
-                                       max_rounds);
 }
 
 }  // namespace ppr::arq

@@ -192,27 +192,14 @@ struct SessionConfig {
 
 class RecoverySession {
  public:
-  // A session with no edges; the deprecated setters below can still
-  // patch the topology in afterwards.
-  RecoverySession() = default;
-
-  // The immutable-topology form: every edge, the optional initial
-  // broadcast, and the relay budget arrive together and never change.
+  // Every edge, the optional initial broadcast, and the relay budget
+  // arrive together and never change.
   explicit RecoverySession(SessionConfig config);
 
   // Registers a participant; ids are assigned in call order and double
   // as the routing order for broadcast delivery. Exactly one
   // destination is required by Run().
   PartyId AddParty(std::unique_ptr<RecoveryParticipant> participant);
-
-  // DEPRECATED forwarding shims, kept one release so callers migrate
-  // to SessionConfig incrementally. These validate eagerly against the
-  // current roster (the historical behavior); the config path defers
-  // validation to first traffic.
-  void SetEdgeChannel(PartyId from, PartyId to, BodyChannel channel);
-  void SetInitialBroadcast(PartyId from, std::vector<PartyId> listeners,
-                           BroadcastBodyChannel channel);
-  void SetRelayAirtimeBudget(std::size_t bits_per_round);
 
   // The initial packet transmission: one broadcast from `source`; every
   // party with an incoming edge from it ingests its own loss-process
@@ -223,25 +210,20 @@ class RecoverySession {
   // or max_rounds is reached.
   SessionRunStats Run(std::size_t max_rounds);
 
-  // One feedback round, scheduler-steppable (the flow engine drives
-  // many sessions by interleaving RunRound calls): the destination
-  // opens, every reply routes until the round drains. Returns false —
-  // without counting a round — when the destination emitted no
-  // feedback: the exchange is complete and stats().totals.success is
-  // already set.
-  bool RunRound();
-
-  // Final accounting for a driver that stopped stepping RunRound
-  // before it returned false (a round cap): success = destination
-  // completeness, exactly as Run()'s max_rounds exit.
-  SessionRunStats Conclude();
-
   const SessionRunStats& stats() const { return stats_; }
 
   RecoveryParticipant& party(PartyId id) { return *parties_.at(id); }
   std::size_t num_parties() const { return parties_.size(); }
 
  private:
+  // One feedback round: the destination opens, every reply routes
+  // until the round drains. Returns false — without counting a round —
+  // when the destination emitted no feedback: the exchange is complete
+  // and stats_.totals.success is already set.
+  bool RunRound();
+  // Final accounting at the round cap: success = destination
+  // completeness.
+  SessionRunStats Conclude();
   DestinationParticipant* Destination() const;
   void ValidateTopology() const;
   void Deliver(const SessionMessage& msg);
@@ -258,13 +240,6 @@ class RecoverySession {
   std::size_t round_budget_left_ = kNoAirtimeBudget;
   std::size_t round_relay_bits_ = 0;
   bool topology_validated_ = false;
-};
-
-// Channels of the canonical three-party (Crelay) topology.
-struct RelayExchangeChannels {
-  BodyChannel source_to_destination;
-  BodyChannel source_to_relay;       // the relay's overheard copy
-  BodyChannel relay_to_destination;
 };
 
 // Channels of the N-relay topology: relay i (party id
@@ -302,13 +277,6 @@ SessionRunStats RunMultiRelayRecoveryExchange(
     const BitVec& payload_bits, const PpArqConfig& config,
     const RecoveryStrategy& strategy,
     const MultiRelayExchangeChannels& channels, std::size_t max_rounds = 32);
-
-// The single-relay special case, preserved as the N=1 configuration.
-SessionRunStats RunRelayRecoveryExchange(const BitVec& payload_bits,
-                                         const PpArqConfig& config,
-                                         const RecoveryStrategy& strategy,
-                                         const RelayExchangeChannels& channels,
-                                         std::size_t max_rounds = 32);
 
 // Two-party session form of arq/link_sim.h's RunRecoveryExchange,
 // exposing the per-party breakdown.

@@ -1,7 +1,6 @@
 #include "engine/flow_engine.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <new>
 #include <stdexcept>
@@ -17,11 +16,8 @@ namespace {
 // Widest per-flow deficit the slot layout reserves solver rows for.
 constexpr std::size_t kDeficitCap = 64;
 
-// Scheduler keys: bit 63 selects compat sessions; native keys pack the
-// arena handle (generation in the high half so a stale handle can be
-// detected on pop without a table lookup).
-constexpr std::uint64_t kCompatBit = std::uint64_t{1} << 63;
-
+// Scheduler keys pack the arena handle (generation in the high half so
+// a stale handle can be detected on pop without a table lookup).
 std::uint64_t PackHandle(FlowHandle handle) {
   return (static_cast<std::uint64_t>(handle.generation) << 32) | handle.index;
 }
@@ -36,7 +32,9 @@ constexpr std::size_t AlignUp(std::size_t x, std::size_t a) {
 }
 
 // The POD-ish per-flow state at the start of every arena slot. The
-// source block and the solver rows follow at engine-computed offsets.
+// source block and the solver rows follow at engine-computed offsets;
+// under kReedSolomon the solver rows hold the precomputed parity,
+// pivot_live marks delivered parity indices and rank counts them.
 struct NativeHeader {
   FlowId id;
   Rng rng;  // per-flow stream: content, deficit, channel draws
@@ -77,113 +75,17 @@ std::size_t SlotBytes(const EngineConfig& config) {
 
 }  // namespace
 
-// Arena-backed dxd Gauss-Jordan solver over a flow's missing columns,
-// speaking the same fec::EquationSink surface as the full decoders.
-// Column i is the flow's i-th missing symbol; rows live in the flow's
-// slot, the work row in engine-lifetime scratch, so ingest allocates
-// nothing.
-class FlowEngine::NativeSolver : public fec::EquationSink {
- public:
-  NativeSolver(NativeHeader& header, std::byte* slot, FlowEngine& engine)
-      : header_(header),
-        coefs_(reinterpret_cast<std::uint8_t*>(slot + engine.off_coefs_)),
-        data_(reinterpret_cast<std::uint8_t*>(slot + engine.off_data_)),
-        d_max_(engine.config_.max_deficit),
-        symbol_bytes_(engine.config_.symbol_bytes),
-        work_coefs_(engine.solver_coefs_),
-        work_data_(engine.solver_data_) {}
-
-  std::size_t equation_width() const override { return header_.missing_count; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override {
-    const std::size_t d = header_.missing_count;
-    if (coefs.size() != d || data.size() != symbol_bytes_) {
-      throw std::invalid_argument("NativeSolver: equation shape mismatch");
-    }
-    work_coefs_.assign(coefs.begin(), coefs.end());
-    work_data_.assign(data.begin(), data.end());
-
-    // Forward-eliminate against the live pivot rows. Rows are
-    // Gauss-Jordan reduced, so factors read upfront stay valid.
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::uint8_t factor = work_coefs_[j];
-      if (factor == 0 || !header_.pivot_live[j]) continue;
-      fec::GfAxpy(std::span(work_coefs_.data(), d), factor, CoefRow(j));
-      fec::GfAxpy(work_data_, factor, DataRow(j));
-    }
-    std::size_t lead = d;
-    for (std::size_t j = 0; j < d; ++j) {
-      if (work_coefs_[j] != 0) {
-        lead = j;
-        break;
-      }
-    }
-    if (lead == d) return false;  // linearly dependent
-
-    const std::uint8_t inv = fec::GfInv(work_coefs_[lead]);
-    fec::GfScale(work_coefs_, inv);
-    fec::GfScale(work_data_, inv);
-    for (std::size_t j = 0; j < d; ++j) {
-      if (!header_.pivot_live[j]) continue;
-      const std::uint8_t factor = CoefRow(j)[lead];
-      if (factor == 0) continue;
-      fec::GfAxpy(MutableCoefRow(j), factor,
-                  std::span<const std::uint8_t>(work_coefs_.data(), d));
-      fec::GfAxpy(MutableDataRow(j), factor, work_data_);
-    }
-    std::memcpy(coefs_ + lead * d_max_, work_coefs_.data(), d);
-    std::memcpy(data_ + lead * symbol_bytes_, work_data_.data(),
-                symbol_bytes_);
-    header_.pivot_live[lead] = 1;
-    ++header_.rank;
-    return true;
-  }
-
-  // Recovered missing symbol i; requires full rank (every row is then
-  // the unit vector e_i, so its data IS the missing symbol).
-  std::span<const std::uint8_t> Recovered(std::size_t i) const {
-    assert(header_.rank == header_.missing_count && header_.pivot_live[i]);
-    return DataRow(i);
-  }
-
- private:
-  std::span<const std::uint8_t> CoefRow(std::size_t j) const {
-    return {coefs_ + j * d_max_, header_.missing_count};
-  }
-  std::span<std::uint8_t> MutableCoefRow(std::size_t j) {
-    return {coefs_ + j * d_max_, header_.missing_count};
-  }
-  std::span<const std::uint8_t> DataRow(std::size_t j) const {
-    return {data_ + j * symbol_bytes_, symbol_bytes_};
-  }
-  std::span<std::uint8_t> MutableDataRow(std::size_t j) {
-    return {data_ + j * symbol_bytes_, symbol_bytes_};
-  }
-
-  NativeHeader& header_;
-  std::uint8_t* coefs_;
-  std::uint8_t* data_;
-  std::size_t d_max_;
-  std::size_t symbol_bytes_;
-  std::vector<std::uint8_t>& work_coefs_;
-  std::vector<std::uint8_t>& work_data_;
-};
-
 FlowEngine::FlowEngine(EngineConfig config)
     : config_(Validated(config)),
       arena_(SlotBytes(config_), config_.slots_per_slab) {
   off_source_ = AlignUp(sizeof(NativeHeader), 64);
-  off_coefs_ = off_source_ + config_.n_source * config_.symbol_bytes;
-  off_data_ = off_coefs_ + config_.max_deficit * config_.max_deficit;
+  off_rows_ = off_source_ + config_.n_source * config_.symbol_bytes;
   staging_.resize(config_.n_source);
+  work_row_.resize(config_.max_deficit + config_.symbol_bytes);
   if (config_.codec == fec::CodecKind::kReedSolomon) {
     // Uniform flow shape: one encoder/decoder pair serves every flow
     // via Reset(). Parity rows reuse the solver region of the slot
-    // (off_coefs_): m * symbol_bytes + nothing <= the solver area, the
-    // delivered bitmap lives in header.pivot_live, the banked count in
-    // header.rank.
+    // (off_rows_): m * symbol_bytes fits in the solver area.
     rs_encoder_ = std::make_unique<fec::ReedSolomonEncoder>(
         config_.n_source, config_.max_deficit, config_.symbol_bytes);
     rs_decoder_ = std::make_unique<fec::ReedSolomonDecoder>(
@@ -192,6 +94,17 @@ FlowEngine::FlowEngine(EngineConfig config)
 }
 
 FlowEngine::~FlowEngine() = default;
+
+// Column i is the flow's i-th missing symbol; row i sits at
+// off_rows_ + i * (max_deficit + symbol_bytes) in the slot, and the
+// live flags in the header, so ingest allocates nothing.
+fec::Basis FlowEngine::FlowBasis(std::byte* slot) {
+  auto* header = reinterpret_cast<NativeHeader*>(slot);
+  return fec::Basis(reinterpret_cast<std::uint8_t*>(slot + off_rows_),
+                    config_.max_deficit + config_.symbol_bytes,
+                    header->missing_count, config_.symbol_bytes,
+                    header->pivot_live);
+}
 
 FlowHandle FlowEngine::SpawnFlow(FlowId id) {
   const FlowHandle handle = arena_.Allocate();
@@ -245,7 +158,7 @@ FlowHandle FlowEngine::SpawnFlow(FlowId id) {
                        config_.symbol_bytes));
     }
     rs_encoder_->Finish();
-    auto* parity = reinterpret_cast<std::uint8_t*>(slot + off_coefs_);
+    auto* parity = reinterpret_cast<std::uint8_t*>(slot + off_rows_);
     for (std::size_t j = 0; j < config_.max_deficit; ++j) {
       const auto p = rs_encoder_->Parity(j);
       std::memcpy(parity + j * config_.symbol_bytes, p.data(), p.size());
@@ -257,51 +170,6 @@ FlowHandle FlowEngine::SpawnFlow(FlowId id) {
   return handle;
 }
 
-std::size_t FlowEngine::AddCompatSession(
-    std::unique_ptr<arq::RecoverySession> session, std::size_t max_rounds) {
-  if (!session) {
-    throw std::invalid_argument("FlowEngine: null compat session");
-  }
-  CompatFlow flow;
-  flow.session = std::move(session);
-  flow.max_rounds = max_rounds;
-  compat_.push_back(std::move(flow));
-  const std::size_t index = compat_.size() - 1;
-  queue_.Push(now_ + config_.round_interval, kCompatBit | index);
-  return index;
-}
-
-bool FlowEngine::CompatDone(std::size_t index) const {
-  return compat_.at(index).done;
-}
-
-const arq::SessionRunStats& FlowEngine::CompatResult(std::size_t index) const {
-  const CompatFlow& flow = compat_.at(index);
-  if (!flow.done) {
-    throw std::logic_error("FlowEngine: compat session still running");
-  }
-  return flow.result;
-}
-
-void FlowEngine::RunCompatRound(std::size_t index) {
-  CompatFlow& flow = compat_.at(index);
-  if (flow.done) return;
-  if (!flow.session->RunRound()) {
-    flow.result = flow.session->stats();
-    flow.done = true;
-    ++stats_.compat_completed;
-    return;
-  }
-  ++flow.rounds_done;
-  if (flow.rounds_done >= flow.max_rounds) {
-    flow.result = flow.session->Conclude();
-    flow.done = true;
-    ++stats_.compat_completed;
-    return;
-  }
-  queue_.Push(now_ + config_.round_interval, kCompatBit | index);
-}
-
 std::size_t FlowEngine::ProcessTick(std::uint64_t tick_time) {
   now_ = std::max(now_, tick_time);
   due_events_.clear();
@@ -309,10 +177,6 @@ std::size_t FlowEngine::ProcessTick(std::uint64_t tick_time) {
   batch_items_.clear();
   for (const FlowEvent& event : due_events_) {
     obs::Observe("engine.sched.lag", now_ - event.time);
-    if (event.key & kCompatBit) {
-      RunCompatRound(static_cast<std::size_t>(event.key & ~kCompatBit));
-      continue;
-    }
     const FlowHandle handle = UnpackHandle(event.key);
     if (!arena_.Alive(handle)) continue;  // retired while queued
     auto* header = reinterpret_cast<NativeHeader*>(arena_.Get(handle));
@@ -408,20 +272,18 @@ void FlowEngine::ProcessNativeBatch() {
 
       const auto* source =
           reinterpret_cast<const std::uint8_t*>(slot + off_source_);
-      proj_coefs_.resize(d);
-      proj_data_.assign(sb, 0);
+      const std::span<std::uint8_t> work(work_row_.data(), d + sb);
+      const auto data = work.subspan(d);
+      std::fill(data.begin(), data.end(), 0);
       terms.clear();
       for (std::size_t i = 0; i < d; ++i) {
         const std::uint8_t m = header->missing[i];
-        proj_coefs_[i] = coef_scratch_[m];
-        if (proj_coefs_[i] == 0) continue;
-        terms.push_back({proj_coefs_[i],
-                         std::span(source + m * sb, sb)});
+        work[i] = coef_scratch_[m];
+        if (work[i] == 0) continue;
+        terms.push_back({work[i], std::span(source + m * sb, sb)});
       }
-      fec::GfAxpyN(proj_data_, terms);
-      NativeSolver solver(*header, slot, *this);
-      fec::EquationSink& sink = solver;  // the unified ingest surface
-      sink.ConsumeEquationSpan(proj_coefs_, proj_data_);
+      fec::GfAxpyN(data, terms);
+      if (FlowBasis(slot).Insert(work) != d) ++header->rank;
     }
   }
 
@@ -501,7 +363,7 @@ void FlowEngine::FinishFlow(FlowHandle handle, bool decoded) {
         rs_decoder_->AddSourceSpan(i, std::span(source + i * sb, sb));
       }
       const auto* parity =
-          reinterpret_cast<const std::uint8_t*>(slot + off_coefs_);
+          reinterpret_cast<const std::uint8_t*>(slot + off_rows_);
       for (std::size_t j = 0; j < config_.max_deficit; ++j) {
         if (!header->pivot_live[j]) continue;
         rs_decoder_->AddParitySpan(j, std::span(parity + j * sb, sb));
@@ -515,9 +377,11 @@ void FlowEngine::FinishFlow(FlowHandle handle, bool decoded) {
         }
       }
     } else {
-      NativeSolver solver(*header, slot, *this);
+      // Full rank: row i is the unit vector e_i, so its payload IS the
+      // i-th missing symbol.
+      const fec::Basis solver = FlowBasis(slot);
       for (std::size_t i = 0; i < header->missing_count; ++i) {
-        const auto recovered = solver.Recovered(i);
+        const auto recovered = solver.Data(i);
         if (std::memcmp(recovered.data(), source + header->missing[i] * sb,
                         sb) != 0) {
           throw std::logic_error("FlowEngine: recovered symbol mismatch");

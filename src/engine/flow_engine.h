@@ -34,14 +34,8 @@
 // out against the destination's correct copies — which, in the
 // erasure model, equal the source's ground truth — so the banked
 // equation projects onto the missing columns only). The per-flow
-// solver speaks fec::EquationSink, the same ingest surface as
-// fec::RlncDecoder and stream::WindowDecoder.
-//
-// Compat flows wrap a legacy arq::RecoverySession and drive it one
-// RunRound per scheduler event. Flows are independent, so
-// interleaving rounds across sessions preserves each session's
-// transcript bit-for-bit — the golden transcript CRCs pin this
-// (tests/engine/flow_engine_test.cc).
+// solver is a fec::Basis view over the flow's slot, the same
+// elimination core as fec::RlncDecoder and stream::WindowDecoder.
 #pragma once
 
 #include <cstddef>
@@ -49,11 +43,10 @@
 #include <memory>
 #include <vector>
 
-#include "arq/recovery_session.h"
 #include "engine/arena.h"
 #include "engine/scheduler.h"
+#include "fec/basis.h"
 #include "fec/codec.h"
-#include "fec/equation_sink.h"
 #include "fec/reed_solomon.h"
 
 namespace ppr::engine {
@@ -90,7 +83,6 @@ struct EngineStats {
   std::uint64_t flows_spawned = 0;
   std::uint64_t flows_completed = 0;  // decoded and verified against truth
   std::uint64_t flows_failed = 0;     // abandoned at max_rounds
-  std::uint64_t compat_completed = 0;
   std::uint64_t rounds = 0;           // native flow-rounds executed
   std::uint64_t repairs_sent = 0;
   std::uint64_t repairs_delivered = 0;
@@ -117,16 +109,6 @@ class FlowEngine {
   FlowHandle SpawnFlow(FlowId id);
   bool FlowAlive(FlowHandle handle) const { return arena_.Alive(handle); }
 
-  // Adopts a configured legacy session (TransmitInitial already done)
-  // and schedules one RunRound per tick, up to `max_rounds` — the
-  // scheduler-interleaved equivalent of session.Run(max_rounds).
-  // Returns an index for CompatResult.
-  std::size_t AddCompatSession(std::unique_ptr<arq::RecoverySession> session,
-                               std::size_t max_rounds);
-  bool CompatDone(std::size_t index) const;
-  // Final stats of a finished compat session (requires CompatDone).
-  const arq::SessionRunStats& CompatResult(std::size_t index) const;
-
   // Processes every event due at or before `until`, one batched tick
   // per distinct due time, and advances now(). Returns events
   // processed.
@@ -137,21 +119,12 @@ class FlowEngine {
   std::size_t RunAll();
 
  private:
-  struct CompatFlow {
-    std::unique_ptr<arq::RecoverySession> session;
-    std::size_t rounds_done = 0;
-    std::size_t max_rounds = 0;
-    bool done = false;
-    arq::SessionRunStats result;
-  };
-
-  class NativeSolver;  // arena-backed dxd EquationSink, defined in .cc
-
   std::size_t ProcessTick(std::uint64_t tick_time);
   void ProcessNativeBatch();  // consumes batch_items_ (kRlnc)
   void ProcessRsBatch();      // consumes batch_items_ (kReedSolomon)
-  void RunCompatRound(std::size_t index);
   void FinishFlow(FlowHandle handle, bool decoded);
+  // The dxd solver over a flow's missing columns, viewing its slot.
+  fec::Basis FlowBasis(std::byte* slot);
 
   struct BatchItem {
     FlowHandle handle;
@@ -164,11 +137,11 @@ class FlowEngine {
   EngineStats stats_;
   std::uint64_t now_ = 0;
   std::uint32_t seed_counter_ = 0;  // shared repair-slot seeds
-  std::vector<CompatFlow> compat_;
-  // Slot layout offsets (bytes from slot start), fixed per engine.
+  // Slot layout offsets (bytes from slot start), fixed per engine: the
+  // source block, then max_deficit solver rows of
+  // max_deficit + symbol_bytes bytes each.
   std::size_t off_source_ = 0;
-  std::size_t off_coefs_ = 0;
-  std::size_t off_data_ = 0;
+  std::size_t off_rows_ = 0;
 
   // Tick-lifetime scratch, reused across ticks.
   std::vector<FlowEvent> due_events_;
@@ -176,10 +149,7 @@ class FlowEngine {
   std::vector<std::vector<std::uint8_t>> staging_;  // symbol-major gather
   std::vector<std::uint8_t> repair_dst_;            // fused encode output
   std::vector<std::uint8_t> coef_scratch_;          // shared slot coefs
-  std::vector<std::uint8_t> proj_coefs_;            // missing-column coefs
-  std::vector<std::uint8_t> proj_data_;             // projected equation
-  std::vector<std::uint8_t> solver_coefs_;          // solver work row
-  std::vector<std::uint8_t> solver_data_;
+  std::vector<std::uint8_t> work_row_;  // projected fused equation
   // kReedSolomon: one engine-lifetime encoder/decoder pair (the flow
   // shape is uniform), Reset() between flows — spawn and finish stay
   // heap-free in steady state.

@@ -27,9 +27,9 @@
 // convolution over the full 65536-point domain mod 65535, where
 // 65536 === 1 makes the inverse transform normalization-free.
 //
-// Scope: pure erasure code — ConsumeEquationSpan accepts only UNIT
-// rows (this symbol arrived verbatim); dense RLNC-style equations
-// return false. Flows that need dense rows (SoftPHY suspicion,
+// Scope: pure erasure code — only symbols that arrived verbatim
+// (source or parity, by index) are accepted, never dense RLNC-style
+// equations. Flows that need dense rows (SoftPHY suspicion,
 // relay-masked equations as primary repair) belong on RLNC; the
 // session layers fall back per CodecKind. symbol_bytes must be even
 // (symbols are arrays of 16-bit field elements).
@@ -40,7 +40,6 @@
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
 #include "fec/gf65536.h"
 
 namespace ppr::fec {
@@ -79,7 +78,7 @@ class ReedSolomonEncoder {
   std::vector<Gf16> coset_;  // K x words: P evaluated on [K, 2K)
 };
 
-class ReedSolomonDecoder : public EquationSink {
+class ReedSolomonDecoder {
  public:
   ReedSolomonDecoder(std::size_t k, std::size_t m, std::size_t symbol_bytes);
 
@@ -110,14 +109,6 @@ class ReedSolomonDecoder : public EquationSink {
 
   // Source symbol i; requires it known (received or decoded).
   std::span<const std::uint8_t> Symbol(std::size_t i) const;
-
-  // EquationSink: columns [0, k) are source symbols, [k, k + m) parity
-  // symbols. Only unit rows are consumable — a dense row returns false
-  // (callers needing dense ingest use CodecKind::kRlnc).
-  std::size_t equation_width() const override { return k_ + m_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override;
 
   // Back to an empty block with the same shape.
   void Reset();

@@ -9,25 +9,19 @@
 // symbol costs seed + payload on the wire rather than a full coefficient
 // vector (the RLC convention of S-PRAC and the PQUIC FEC plugin).
 //
-// The decoder performs incremental Gauss-Jordan elimination: systematic
-// symbols the receiver already trusts enter as identity rows, repair
-// symbols as dense rows, and decoding succeeds as soon as the rank
-// reaches the source block size. Each row is stored FUSED — one
-// contiguous [coefs | data] buffer — so every elimination step (the
-// forward sweep, the pivot normalization, the back-elimination) runs as
-// a single GfAxpyN/GfScale/GfAxpy pass over coefficient and payload
-// bytes together instead of two sweeps, halving dispatch overhead and
-// streaming each row through cache once.
+// The decoder performs incremental Gauss-Jordan elimination
+// (fec/basis.h): systematic symbols the receiver already trusts enter
+// as identity rows, repair symbols as dense rows, and decoding succeeds
+// as soon as the rank reaches the source block size.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
-#include "fec/gf256.h"
+#include "fec/basis.h"
 
 namespace ppr::fec {
 
@@ -106,90 +100,48 @@ class RlncEncoder {
   std::vector<std::vector<std::uint8_t>> source_;
 };
 
-class RlncDecoder : public EquationSink {
+class RlncDecoder {
  public:
   RlncDecoder(std::size_t n_source, std::size_t symbol_bytes);
 
   std::size_t num_source() const { return n_source_; }
   std::size_t symbol_bytes() const { return symbol_bytes_; }
-  std::size_t rank() const { return rank_; }
-  bool Complete() const { return rank_ == n_source_; }
+  std::size_t rank() const { return basis_.rank(); }
+  bool Complete() const { return basis_.Complete(); }
 
   // A systematic symbol received (or trusted) verbatim. Returns true if
-  // it increased the rank.
-  bool AddSource(std::size_t index, std::vector<std::uint8_t> data);
-
-  // Borrowed-span form of AddSource: `data` is copied into reused
-  // internal scratch, so a caller replaying a retained block
-  // (CodedRepairSession::Rebuild) allocates nothing per call.
+  // it increased the rank. `data` is borrowed, so a caller replaying a
+  // retained block (CodedRepairSession::Rebuild) allocates nothing.
   bool AddSourceSpan(std::size_t index, std::span<const std::uint8_t> data);
 
   // A coded repair symbol; coefficients are regenerated from its seed.
   bool AddRepair(const RepairSymbol& repair);
 
-  // Batch ingest: every repair in order, coefficients expanded into one
-  // reused scratch buffer. Returns how many increased the rank.
-  std::size_t AddRepairBatch(std::span<const RepairSymbol> repairs);
-
-  // A raw equation: coefs (n_source long) . source = data.
-  bool AddEquation(std::vector<std::uint8_t> coefs,
-                   std::vector<std::uint8_t> data);
-
-  // Borrowed-span form of AddEquation; the decoder copies into reused
-  // scratch and retired pivot rows are recycled, so steady-state ingest
-  // (dependent equations, post-Reset rebuilds) performs no allocation.
+  // A raw equation: coefs (n_source long) . source = data. The spans
+  // are borrowed; steady-state ingest performs no allocation.
   bool AddEquationSpan(std::span<const std::uint8_t> coefs,
                        std::span<const std::uint8_t> data);
 
-  // EquationSink: column i is source symbol i.
-  std::size_t equation_width() const override { return n_source_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override {
-    return AddEquationSpan(coefs, data);
-  }
-
-  // Back to rank 0 with the same shape. Pivot row buffers are parked in
-  // a spare pool and reused by later insertions — cheaper than
-  // reconstructing the decoder when a session rebuilds its elimination
-  // state (CodedRepairSession::Rebuild).
-  void Reset();
+  // Back to rank 0 with the same shape, keeping the row storage —
+  // cheaper than reconstructing the decoder when a session rebuilds its
+  // elimination state (CodedRepairSession::Rebuild).
+  void Reset() { basis_.Reset(); }
 
   // Decoded source symbol `i` (a view into the pivot row, valid until
   // the next mutating call); requires Complete().
   std::span<const std::uint8_t> Symbol(std::size_t i) const;
 
  private:
-  // One fused row: n_source_ coefficient bytes followed by symbol_bytes_
-  // payload bytes, eliminated together in single GF passes.
-  using Row = std::vector<std::uint8_t>;
-
-  std::size_t row_bytes() const { return n_source_ + symbol_bytes_; }
-  std::span<const std::uint8_t> RowCoefs(const Row& row) const {
-    return {row.data(), n_source_};
-  }
-
-  // Runs the elimination sweep over the fused work row (work_),
-  // inserting the surviving pivot. The shared core of every ingest
-  // entry point.
-  bool EliminateWork();
-  Row TakeSpareRow();
-
   std::size_t n_source_;
   std::size_t symbol_bytes_;
-  std::size_t rank_ = 0;
-  // pivot_[i] holds the row whose leading coefficient is column i,
-  // scaled to 1 and with zeros at every other pivot column (Gauss-Jordan
-  // reduced). At full rank each row is the unit vector e_i, so its data
-  // half IS source symbol i.
-  std::vector<std::optional<Row>> pivot_;
-  // Reused scratch: the in-flight fused equation, the batched
-  // elimination term list, seed-expanded coefficients, and retired row
-  // buffers.
-  Row work_;
-  std::vector<GfTerm> terms_;
+  // n_source_ live flags, then n_source_ fused [coefs | data] rows:
+  // the Basis's caller-owned storage.
+  std::unique_ptr<std::uint8_t[]> storage_;
+  Basis basis_;
+  // Reused scratch: the in-flight fused equation and seed-expanded
+  // coefficients.
+  std::vector<std::uint8_t> work_;
   std::vector<std::uint8_t> coef_scratch_;
-  std::vector<Row> spare_;
 };
 
 }  // namespace ppr::fec

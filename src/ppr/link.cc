@@ -5,23 +5,19 @@
 
 namespace ppr::core {
 
+BitVec RandomPayload(std::size_t octets, Rng& rng) {
+  BitVec payload;
+  for (std::size_t i = 0; i < octets; ++i) {
+    payload.AppendUint(rng.UniformInt(256), 8);
+  }
+  return payload;
+}
+
 arq::BodyChannel MakeWaveformChannel(const WaveformChannelParams& params) {
   auto medium = WaveformMedium::Create(arq::CollisionCorrelation::kIndependent,
                                        params.seed);
   const auto id = medium->AddListener(ListenerFromChannelParams(params));
   return medium->MakeListenerChannel(id);
-}
-
-arq::ArqRunStats RunWaveformPpArq(std::size_t payload_octets,
-                                  const arq::PpArqConfig& arq_config,
-                                  const WaveformChannelParams& params,
-                                  Rng& payload_rng) {
-  BitVec payload;
-  for (std::size_t i = 0; i < payload_octets; ++i) {
-    payload.AppendUint(payload_rng.UniformInt(256), 8);
-  }
-  const auto channel = MakeWaveformChannel(params);
-  return arq::RunPpArqExchange(payload, arq_config, channel);
 }
 
 arq::SessionRunStats RunWaveformMultiRelayRecovery(
@@ -30,10 +26,7 @@ arq::SessionRunStats RunWaveformMultiRelayRecovery(
     const std::vector<RelayWaveformParams>& relays, Rng& payload_rng,
     arq::CollisionCorrelation correlation,
     WaveformMediumStats* medium_stats) {
-  BitVec payload;
-  for (std::size_t i = 0; i < payload_octets; ++i) {
-    payload.AppendUint(payload_rng.UniformInt(256), 8);
-  }
+  const BitVec payload = RandomPayload(payload_octets, payload_rng);
   arq::PpArqConfig config = arq_config;
   config.recovery = arq::RecoveryMode::kRelayCodedRepair;
   config.relay_parties = relays.size();
@@ -95,13 +88,16 @@ RecoveryComparison CompareRecoveryStrategies(
   RecoveryComparison out;
   arq::PpArqConfig config = arq_config;
 
+  // Each strategy gets its own channel built from the same params, so
+  // both see identical noise and collision draws.
+  Rng payload_rng(payload_seed);
+  const BitVec payload = RandomPayload(payload_octets, payload_rng);
   config.recovery = arq::RecoveryMode::kChunkRetransmit;
-  Rng chunk_rng(payload_seed);
-  out.chunk = RunWaveformPpArq(payload_octets, config, params, chunk_rng);
-
+  out.chunk =
+      arq::RunPpArqExchange(payload, config, MakeWaveformChannel(params));
   config.recovery = arq::RecoveryMode::kCodedRepair;
-  Rng coded_rng(payload_seed);
-  out.coded = RunWaveformPpArq(payload_octets, config, params, coded_rng);
+  out.coded =
+      arq::RunPpArqExchange(payload, config, MakeWaveformChannel(params));
 
   if (relay) {
     Rng relay_rng(payload_seed);

@@ -48,12 +48,9 @@ struct WaveformChannelParams {
 // original point-to-point channel bit-for-bit.
 arq::BodyChannel MakeWaveformChannel(const WaveformChannelParams& params);
 
-// One PP-ARQ packet exchange over the waveform channel, under the
-// recovery strategy `arq_config.recovery` selects.
-arq::ArqRunStats RunWaveformPpArq(std::size_t payload_octets,
-                                  const arq::PpArqConfig& arq_config,
-                                  const WaveformChannelParams& params,
-                                  Rng& payload_rng);
+// The payload every waveform runner below draws: `octets` uniformly
+// random bytes from `rng`.
+BitVec RandomPayload(std::size_t octets, Rng& rng);
 
 // The relay-capable waveform variant: a second receiver overhears the
 // source at its own SNR/collision climate (`overhear`), and the

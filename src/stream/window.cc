@@ -68,7 +68,11 @@ WindowDecoder::WindowDecoder(std::size_t capacity, std::size_t symbol_bytes)
       known_(capacity),
       recovered_(capacity, false),
       retired_(capacity),
-      pivots_(capacity) {
+      storage_(std::make_unique<std::uint8_t[]>(
+          capacity * (1 + capacity + symbol_bytes))),
+      basis_(storage_.get() + capacity, capacity + symbol_bytes, capacity,
+             symbol_bytes, storage_.get()),
+      work_(capacity + symbol_bytes) {
   if (capacity == 0 || symbol_bytes == 0) {
     throw std::invalid_argument("WindowDecoder: empty window");
   }
@@ -76,7 +80,7 @@ WindowDecoder::WindowDecoder(std::size_t capacity, std::size_t symbol_bytes)
 
 std::size_t WindowDecoder::Deficit() const {
   const std::size_t seen = static_cast<std::size_t>(highest_seen_ - base_);
-  return seen - known_count_ - rank_;
+  return seen - known_count_ - basis_.rank();
 }
 
 bool WindowDecoder::Known(SymbolId id) const {
@@ -103,24 +107,23 @@ bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data,
   }
   highest_seen_ = std::max(highest_seen_, id + 1);
   if (Known(id)) return false;  // duplicate
-  const std::size_t col = static_cast<std::size_t>(id - base_);
-  if (pivots_[col].has_value()) {
+  const std::size_t col = Slot(id);
+  if (basis_.Live(col)) {
     // The column already carries an equation (lead coef 1 at `col`,
     // Gauss-Jordan reduced elsewhere). The verbatim symbol makes the
     // column known; the row, with the now-known term substituted out,
     // still relates the OTHER unknowns it references — re-bank it.
-    Row row = std::move(*pivots_[col]);
-    pivots_[col].reset();
-    --rank_;
-    row.coefs[col] = 0;
-    fec::GfAxpy(row.data, 1, data);
+    const auto row = basis_.Row(col);
+    std::copy(row.begin(), row.end(), work_.begin());
+    basis_.Retire(col);
+    work_[col] = 0;
+    fec::GfAxpy(std::span(work_).subspan(capacity_), 1, data);
     SetKnown(id, std::move(data), recovered);
-    AddRow(std::move(row.coefs), std::move(row.data));
-    ExtractUnitRows(col);
-    return true;
+    basis_.Insert(work_);
+  } else {
+    SetKnown(id, std::move(data), recovered);
   }
-  SetKnown(id, std::move(data), recovered);
-  ExtractUnitRows(col);
+  ExtractUnitRows();
   return true;
 }
 
@@ -148,149 +151,80 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
 
   // Substitute every known symbol out of the equation; what is left is
   // a relation over the window's unknown columns only.
-  std::vector<std::uint8_t> coefs(capacity_, 0);
-  std::vector<std::uint8_t> data = repair.data;
-  const auto span_coefs = fec::RepairCoefficients(repair.seed, repair.span);
-  std::vector<fec::GfTerm> known_terms;
+  const std::span<std::uint8_t> coefs(work_.data(), capacity_);
+  std::fill(coefs.begin(), coefs.end(), 0);
+  span_coefs_.resize(repair.span);
+  fec::RepairCoefficientsInto(repair.seed, span_coefs_);
+  known_terms_.clear();
   bool any_unknown = false;
   for (std::size_t j = 0; j < repair.span; ++j) {
-    const std::uint8_t c = span_coefs[j];
+    const std::uint8_t c = span_coefs_[j];
     if (c == 0) continue;
     const SymbolId id = repair.first_id + j;
     if (id < base_) {
       assert(retired_[Slot(id)].has_value());
-      known_terms.push_back({c, *retired_[Slot(id)]});
+      known_terms_.push_back({c, *retired_[Slot(id)]});
     } else if (Known(id)) {
-      known_terms.push_back({c, KnownData(id)});
+      known_terms_.push_back({c, KnownData(id)});
     } else {
-      coefs[static_cast<std::size_t>(id - base_)] = c;
+      coefs[Slot(id)] = c;
       any_unknown = true;
     }
   }
-  fec::GfAxpyN(data, known_terms);
   if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(coefs), std::move(data));
-}
-
-bool WindowDecoder::ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                                        std::span<const std::uint8_t> data) {
-  if (coefs.size() != capacity_ || data.size() != symbol_bytes_) {
-    throw std::invalid_argument("WindowDecoder::ConsumeEquationSpan: shape");
-  }
-  // Window-anchored columns can never reach back before base_, so the
-  // retired-ring staleness cases of AddRepair cannot arise: only the
-  // known-column substitution remains.
-  std::vector<std::uint8_t> row_coefs(capacity_, 0);
-  std::vector<std::uint8_t> row_data(data.begin(), data.end());
-  std::vector<fec::GfTerm> known_terms;
-  bool any_unknown = false;
-  SymbolId end = base_;
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    const std::uint8_t c = coefs[i];
-    if (c == 0) continue;
-    const SymbolId id = base_ + i;
-    end = id + 1;
-    if (Known(id)) {
-      known_terms.push_back({c, KnownData(id)});
-    } else {
-      row_coefs[i] = c;
-      any_unknown = true;
-    }
-  }
-  if (end == base_) return false;  // all-zero equation
-  highest_seen_ = std::max(highest_seen_, end);
-  fec::GfAxpyN(row_data, known_terms);
-  if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(row_coefs), std::move(row_data));
-}
-
-bool WindowDecoder::AddRow(std::vector<std::uint8_t> coefs,
-                           std::vector<std::uint8_t> data) {
-  // Forward-eliminate against the basis. Pivot rows are Gauss-Jordan
-  // reduced (zero at every other pivot column), so the factors can be
-  // read upfront and the sweep batched, as in fec::RlncDecoder.
-  std::vector<fec::GfTerm> coef_terms, data_terms;
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] == 0 || !pivots_[j].has_value()) continue;
-    coef_terms.push_back({coefs[j], pivots_[j]->coefs});
-    data_terms.push_back({coefs[j], pivots_[j]->data});
-  }
-  fec::GfAxpyN(coefs, coef_terms);
-  fec::GfAxpyN(data, data_terms);
-
-  std::size_t lead = capacity_;
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] != 0) {
-      lead = j;
-      break;
-    }
-  }
-  if (lead == capacity_) return false;  // linearly dependent
-
-  const std::uint8_t inv = fec::GfInv(coefs[lead]);
-  fec::GfScale(coefs, inv);
-  fec::GfScale(data, inv);
-
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (!pivots_[j].has_value()) continue;
-    const std::uint8_t factor = pivots_[j]->coefs[lead];
-    if (factor == 0) continue;
-    fec::GfAxpy(pivots_[j]->coefs, factor, coefs);
-    fec::GfAxpy(pivots_[j]->data, factor, data);
-  }
-
-  pivots_[lead] = Row{std::move(coefs), std::move(data)};
-  ++rank_;
-  ExtractUnitRows(lead);
+  const auto data = std::span(work_).subspan(capacity_);
+  std::copy(repair.data.begin(), repair.data.end(), data.begin());
+  fec::GfAxpyN(data, known_terms_);
+  if (basis_.Insert(work_) == capacity_) return false;  // dependent
+  ExtractUnitRows();
   return true;
 }
 
 void WindowDecoder::SetKnown(SymbolId id, std::vector<std::uint8_t> data,
                              bool recovered) {
-  const std::size_t col = static_cast<std::size_t>(id - base_);
-  assert(col < capacity_ && !known_[Slot(id)].has_value());
-  assert(!pivots_[col].has_value());
+  const std::size_t col = Slot(id);
+  assert(id >= base_ && id < base_ + capacity_ && !known_[col].has_value());
+  assert(!basis_.Live(col));
   // Substitute the new known out of every row still referencing the
   // column (possible when it was a non-pivot column).
   for (std::size_t j = 0; j < capacity_; ++j) {
-    if (!pivots_[j].has_value()) continue;
-    const std::uint8_t c = pivots_[j]->coefs[col];
+    if (!basis_.Live(j)) continue;
+    const auto row = basis_.Row(j);
+    const std::uint8_t c = row[col];
     if (c == 0) continue;
-    fec::GfAxpy(pivots_[j]->data, c, data);
-    pivots_[j]->coefs[col] = 0;
+    fec::GfAxpy(row.subspan(capacity_), c, data);
+    row[col] = 0;
   }
-  known_[Slot(id)] = std::move(data);
-  recovered_[Slot(id)] = recovered;
+  known_[col] = std::move(data);
+  recovered_[col] = recovered;
   ++known_count_;
 }
 
-void WindowDecoder::ExtractUnitRows(std::size_t hint_col) {
+void WindowDecoder::ExtractUnitRows() {
   // A pivot row reduced to a single nonzero coefficient IS its symbol:
   // extract it as known and retire the row. Extraction substitutes
   // nothing (the pivot column is zero in every other row by
   // Gauss-Jordan reduction), but SetKnown's substitution of
   // still-referenced non-pivot columns can shrink further rows to unit
   // weight, so iterate to a fixpoint.
-  (void)hint_col;
   bool changed = true;
   while (changed) {
     changed = false;
     for (std::size_t j = 0; j < capacity_; ++j) {
-      if (!pivots_[j].has_value()) continue;
-      const Row& row = *pivots_[j];
+      if (!basis_.Live(j)) continue;
+      const auto row = basis_.Row(j);
       bool unit = true;
       for (std::size_t k = 0; k < capacity_; ++k) {
-        if (k != j && row.coefs[k] != 0) {
+        if (k != j && row[k] != 0) {
           unit = false;
           break;
         }
       }
       if (!unit) continue;
-      assert(row.coefs[j] == 1);
-      std::vector<std::uint8_t> data = std::move(pivots_[j]->data);
-      pivots_[j].reset();
-      --rank_;
-      SetKnown(base_ + j, std::move(data), /*recovered=*/true);
+      assert(row[j] == 1);
+      const auto data = basis_.Data(j);
+      basis_.Retire(j);
+      SetKnown(IdAt(j), {data.begin(), data.end()}, /*recovered=*/true);
       obs::Count("stream.window.recovered");
       changed = true;
     }
@@ -300,6 +234,9 @@ void WindowDecoder::ExtractUnitRows(std::size_t hint_col) {
 std::vector<DeliverableSymbol> WindowDecoder::PopDeliverable() {
   std::vector<DeliverableSymbol> out;
   while (base_ < highest_seen_ && known_[Slot(base_)].has_value()) {
+    // Every known column is zero in every banked row, so the slot
+    // passes to id base_ + capacity with nothing to re-eliminate.
+    assert(!basis_.Live(Slot(base_)));
     DeliverableSymbol d;
     d.id = base_;
     d.data = std::move(*known_[Slot(base_)]);
@@ -313,25 +250,6 @@ std::vector<DeliverableSymbol> WindowDecoder::PopDeliverable() {
     retired_[Slot(base_)] = d.data;
     out.push_back(std::move(d));
     ++base_;
-  }
-  if (out.empty()) return out;
-  // Advance the basis alignment. Every retired column is known, hence
-  // zero in every surviving row — dropping the prefix re-eliminates
-  // nothing.
-  const std::size_t shift = out.size();
-  for (std::size_t j = 0; j < shift; ++j) assert(!pivots_[j].has_value());
-  pivots_.erase(pivots_.begin(),
-                pivots_.begin() + static_cast<std::ptrdiff_t>(shift));
-  pivots_.resize(capacity_);
-  for (auto& pivot : pivots_) {
-    if (!pivot.has_value()) continue;
-    auto& coefs = pivot->coefs;
-    assert(std::all_of(coefs.begin(),
-                       coefs.begin() + static_cast<std::ptrdiff_t>(shift),
-                       [](std::uint8_t c) { return c == 0; }));
-    coefs.erase(coefs.begin(),
-                coefs.begin() + static_cast<std::ptrdiff_t>(shift));
-    coefs.resize(capacity_, 0);
   }
   return out;
 }

@@ -8,18 +8,23 @@
 // the window and retire the oldest symbols. The destination mirrors
 // the window: source symbols land verbatim, repair symbols become
 // equations over the window's still-unknown columns, and incremental
-// Gauss-Jordan elimination recovers losses as soon as enough
-// independent equations span them.
+// Gauss-Jordan elimination (fec/basis.h) recovers losses as soon as
+// enough independent equations span them.
 //
-// Window advance never re-eliminates the surviving basis. The decoder
+// Basis columns are ring slots (id % capacity), so window advance
+// neither shifts nor re-eliminates the surviving basis. The decoder
 // substitutes every known symbol out of an equation at ingest (and a
 // recovered pivot column is zero in every other row by Gauss-Jordan
 // reduction), so by the time the in-order frontier passes a column its
-// coefficient is zero in every banked row — retiring it is pure
-// bookkeeping. Delivered symbols park in a retired ring one window
-// deep, so a late repair spanning an already-advanced prefix still
-// substitutes those ids instead of being dropped; only repairs
-// reaching back past the retired ring are discarded as stale.
+// coefficient is zero in every banked row — handing the slot to the id
+// one window later is pure bookkeeping. Rank, the set of recoverable
+// symbols and their bytes do not depend on the column order, so slot
+// order decodes exactly what window order would.
+//
+// Delivered symbols park in a retired ring one window deep, so a late
+// repair spanning an already-advanced prefix still substitutes those
+// ids instead of being dropped; only repairs reaching back past the
+// retired ring are discarded as stale.
 //
 // Shapes follow flec's window_framework (ring-buffered symbol stores,
 // ambiguous-ID-gap windowing) and FEC-SRv6's convolutional RLC (repair
@@ -28,11 +33,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
+#include "fec/basis.h"
+#include "fec/gf256.h"
 #include "stream/stream_ids.h"
 
 namespace ppr::stream {
@@ -98,7 +104,7 @@ struct DeliverableSymbol {
 
 // Destination side: known-symbol ring plus an equation basis over the
 // window's unknown columns.
-class WindowDecoder : public fec::EquationSink {
+class WindowDecoder {
  public:
   WindowDecoder(std::size_t capacity, std::size_t symbol_bytes);
 
@@ -118,7 +124,7 @@ class WindowDecoder : public fec::EquationSink {
   // Known or recovered symbols waiting in the window (including ones
   // not yet deliverable because of an earlier gap).
   std::size_t known_in_window() const { return known_count_; }
-  std::size_t rank() const { return rank_; }
+  std::size_t rank() const { return basis_.rank(); }
 
   // A source symbol received verbatim (id already expanded). Returns
   // true if it was new information. Frames beyond the window capacity
@@ -135,18 +141,6 @@ class WindowDecoder : public fec::EquationSink {
   // repairs overrunning the window return false.
   bool AddRepair(const StreamRepairSymbol& repair);
 
-  // EquationSink: a dense equation anchored at the frontier — coefs[i]
-  // applies to symbol next_expected() + i. Known columns (delivered or
-  // recovered) are substituted out before the remainder joins the
-  // basis, exactly as AddRepair does for seed-expanded equations, so a
-  // driver holding "some EquationSink" (the flow engine, a
-  // collision-recovery listener) feeds the stream decoder the same way
-  // it feeds fec::RlncDecoder. Returns true if the rank increased.
-  std::size_t equation_width() const override { return capacity_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override;
-
   // Pops the known prefix at the frontier, advancing the window. The
   // caller timestamps and releases them (stream/delivery_queue.h).
   std::vector<DeliverableSymbol> PopDeliverable();
@@ -156,32 +150,25 @@ class WindowDecoder : public fec::EquationSink {
   std::size_t overflow_dropped() const { return overflow_dropped_; }
 
  private:
-  struct Row {
-    // coefs[i] applies to symbol base_ + i; Gauss-Jordan reduced
-    // against every other pivot row, zero on every known column.
-    std::vector<std::uint8_t> coefs;
-    std::vector<std::uint8_t> data;
-  };
-
+  // Ring slot of an id; it is also the id's basis column while the id
+  // is in the active window.
   std::size_t Slot(SymbolId id) const {
     return static_cast<std::size_t>(id % capacity_);
   }
+  // The active-window id whose column is `slot`.
+  SymbolId IdAt(std::size_t slot) const {
+    return base_ + (slot + capacity_ - Slot(base_)) % capacity_;
+  }
   bool Known(SymbolId id) const;
   const std::vector<std::uint8_t>& KnownData(SymbolId id) const;
-  // Substitutes knowns out of a window-anchored dense row, reduces it
-  // against the basis, inserts the surviving pivot, and extracts any
-  // rows elimination turned into unit vectors. Returns true if the
-  // rank increased.
-  bool AddRow(std::vector<std::uint8_t> coefs, std::vector<std::uint8_t> data);
   void SetKnown(SymbolId id, std::vector<std::uint8_t> data, bool recovered);
-  void ExtractUnitRows(std::size_t hint_col);
+  void ExtractUnitRows();
 
   std::size_t capacity_;
   std::size_t symbol_bytes_;
-  SymbolId base_ = 0;          // in-order frontier == window column 0
+  SymbolId base_ = 0;          // in-order frontier
   SymbolId highest_seen_ = 0;  // one past the highest referenced id
   std::size_t known_count_ = 0;
-  std::size_t rank_ = 0;
   std::size_t stale_dropped_ = 0;
   std::size_t overflow_dropped_ = 0;
   // Active window [base_, base_ + capacity): known symbol data (slot =
@@ -191,10 +178,17 @@ class WindowDecoder : public fec::EquationSink {
   // Retired ring [base_ - capacity, base_): delivered data kept for
   // substituting late repairs that span the advanced prefix.
   std::vector<std::optional<std::vector<std::uint8_t>>> retired_;
-  // pivots_[i] is the basis row whose leading column is base_ + i;
-  // shifted on advance (retired columns are zero everywhere, so the
-  // shift never re-eliminates).
-  std::vector<std::optional<Row>> pivots_;
+  // capacity_ live flags, then capacity_ fused [coefs | data] rows
+  // indexed by ring slot. Every row is zero on every known column, so
+  // a column retired by the advancing frontier is zero everywhere and
+  // is reused by the id one window later with no re-elimination.
+  std::unique_ptr<std::uint8_t[]> storage_;
+  fec::Basis basis_;
+  // Reused ingest scratch: the in-flight fused equation, a repair's
+  // seed-expanded span coefficients, and its known-symbol terms.
+  std::vector<std::uint8_t> work_;
+  std::vector<std::uint8_t> span_coefs_;
+  std::vector<fec::GfTerm> known_terms_;
 };
 
 }  // namespace ppr::stream

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "arq/link_sim.h"
 #include "common/crc.h"
@@ -91,7 +92,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
   const auto strategy = MakeRecoveryStrategy(config);
   Rng rng(601);
   const BitVec body = PpArqSender::MakeBody(RandomPayload(rng, 40));
-  RecoverySession session;
+  RecoverySession session(SessionConfig{});
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   EXPECT_THROW(session.Run(4), std::logic_error);
 }
@@ -99,7 +100,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
 TEST(RecoverySessionTest, RejectsSecondDestination) {
   PpArqConfig config;
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(SessionConfig{});
   session.AddParty(strategy->MakeDestinationParticipant(1, 128));
   EXPECT_THROW(session.AddParty(strategy->MakeDestinationParticipant(1, 128)),
                std::invalid_argument);
@@ -190,19 +191,41 @@ TEST(RecoverySessionTest, TwoPartySessionMatchesDuplexExchange) {
   }
 }
 
-RelayExchangeChannels MakeGeChannels(const phy::ChipCodebook& cb,
-                                     const GilbertElliottParams& direct,
-                                     const GilbertElliottParams& overhear,
-                                     const GilbertElliottParams& relay_link,
-                                     Rng& direct_rng, Rng& overhear_rng,
-                                     Rng& relay_rng) {
-  RelayExchangeChannels channels;
-  channels.source_to_destination =
-      MakeGilbertElliottChannel(cb, direct, direct_rng);
-  channels.source_to_relay = MakeGilbertElliottChannel(cb, overhear, overhear_rng);
-  channels.relay_to_destination =
-      MakeGilbertElliottChannel(cb, relay_link, relay_rng);
+// The one-relay (Crelay) topology: source -> destination, source ->
+// relay (the overheard copy), relay -> destination.
+MultiRelayExchangeChannels OneRelayChannels(BodyChannel direct,
+                                            BodyChannel overhear,
+                                            BodyChannel relay_link) {
+  MultiRelayExchangeChannels channels;
+  channels.source_to_destination = std::move(direct);
+  channels.source_to_relay = {std::move(overhear)};
+  channels.relay_to_destination = {std::move(relay_link)};
   return channels;
+}
+
+MultiRelayExchangeChannels MakeGeChannels(
+    const phy::ChipCodebook& cb, const GilbertElliottParams& direct,
+    const GilbertElliottParams& overhear,
+    const GilbertElliottParams& relay_link, Rng& direct_rng,
+    Rng& overhear_rng, Rng& relay_rng) {
+  return OneRelayChannels(
+      MakeGilbertElliottChannel(cb, direct, direct_rng),
+      MakeGilbertElliottChannel(cb, overhear, overhear_rng),
+      MakeGilbertElliottChannel(cb, relay_link, relay_rng));
+}
+
+// The session a one-relay exchange runs, built by hand so a test can
+// read the destination's assembled payload: source 0, destination 1,
+// relay 2.
+SessionConfig OneRelayTopology(const MultiRelayExchangeChannels& channels) {
+  SessionConfig topology;
+  topology.edges = {
+      {kSessionSourceId, kSessionDestinationId,
+       channels.source_to_destination},
+      {kSessionSourceId, kSessionRelayId, channels.source_to_relay.at(0)},
+      {kSessionRelayId, kSessionDestinationId,
+       channels.relay_to_destination.at(0)}};
+  return topology;
 }
 
 // The PR's acceptance scenario: a degraded direct path and a strong
@@ -226,7 +249,7 @@ TEST(RecoverySessionTest, RelaySpendsFewerSourceRepairBitsThanCoded) {
     const auto channels =
         MakeGeChannels(cb, DegradedParams(), StrongParams(), StrongParams(),
                        direct_a, overhear, relay_link);
-    const auto relay = RunRelayRecoveryExchange(
+    const auto relay = RunMultiRelayRecoveryExchange(
         payload, relay_config, *MakeRecoveryStrategy(relay_config), channels);
 
     PpArqConfig coded_config;
@@ -263,14 +286,11 @@ TEST(RecoverySessionTest, RelaySessionDeliversExactPayload) {
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(OneRelayTopology(channels));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -288,13 +308,12 @@ TEST(RecoverySessionTest, SilentRelayFallsBackToSourceOnly) {
   const BitVec payload = RandomPayload(prng, 120);
   PpArqConfig config;
   config.recovery = RecoveryMode::kRelayCodedRepair;
-  RelayExchangeChannels channels;
   Rng direct(642);
-  channels.source_to_destination =
-      MakeGilbertElliottChannel(cb, DegradedParams(), direct);
-  channels.source_to_relay = DeadChannel();  // the relay hears only noise
-  channels.relay_to_destination = PerfectChannel();
-  const auto stats = RunRelayRecoveryExchange(
+  const auto channels = OneRelayChannels(
+      MakeGilbertElliottChannel(cb, DegradedParams(), direct),
+      DeadChannel(),  // the relay hears only noise
+      PerfectChannel());
+  const auto stats = RunMultiRelayRecoveryExchange(
       payload, config, *MakeRecoveryStrategy(config), channels);
   EXPECT_TRUE(stats.totals.success);
   EXPECT_EQ(stats.parties[kSessionRelayId].repair_bits, 0u);
@@ -314,14 +333,10 @@ TEST(RecoverySessionTest, RelayMissDoesNotPoisonDestination) {
   PpArqConfig config;
   config.recovery = RecoveryMode::kRelayCodedRepair;
 
-  RelayExchangeChannels channels;
   Rng direct(652);
-  channels.source_to_destination =
-      MakeGilbertElliottChannel(cb, DegradedParams(), direct);
   // The relay's copy: confidently wrong in a stretch of codewords — a
   // modeled SoftPHY miss (hint 0 despite flipped bits).
-  channels.source_to_relay = [perfect =
-                                  PerfectChannel()](const BitVec& bits) {
+  BodyChannel miss = [perfect = PerfectChannel()](const BitVec& bits) {
     auto symbols = perfect(bits);
     for (std::size_t i = 40; i < 80 && i < symbols.size(); ++i) {
       symbols[i].symbol = static_cast<std::uint8_t>(symbols[i].symbol ^ 0x5);
@@ -329,18 +344,17 @@ TEST(RecoverySessionTest, RelayMissDoesNotPoisonDestination) {
     }
     return symbols;
   };
-  channels.relay_to_destination = PerfectChannel();
+  const auto channels = OneRelayChannels(
+      MakeGilbertElliottChannel(cb, DegradedParams(), direct),
+      std::move(miss), PerfectChannel());
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(OneRelayTopology(channels));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -380,7 +394,7 @@ TEST(MultiRelaySessionTest, SingleRelayReproducesLegacyCrelayRepairPath) {
     const auto channels =
         MakeGeChannels(cb, DegradedParams(), StrongParams(), StrongParams(),
                        direct, overhear, relay_hop);
-    const auto stats = RunRelayRecoveryExchange(
+    const auto stats = RunMultiRelayRecoveryExchange(
         payload, config, *MakeRecoveryStrategy(config), channels);
     ASSERT_TRUE(stats.totals.success) << "seed=" << pin.seed;
     EXPECT_EQ(stats.rounds, pin.rounds) << "seed=" << pin.seed;
@@ -432,18 +446,22 @@ TEST(MultiRelaySessionTest, TwoRelaySessionDeliversExactPayload) {
       MakeGilbertElliottChannel(cb, StrongParams(), hop_b)};
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  SessionConfig topology;
+  topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                            channels.source_to_destination});
+  for (std::size_t r = 0; r < 2; ++r) {
+    topology.edges.push_back({kSessionSourceId, kSessionRelayId + r,
+                              channels.source_to_relay[r]});
+    topology.edges.push_back({kSessionRelayId + r, kSessionDestinationId,
+                              channels.relay_to_destination[r]});
+  }
+  RecoverySession session(std::move(topology));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   for (std::uint8_t r = 1; r <= 2; ++r) {
-    const PartyId id = session.AddParty(
-        strategy->MakeRelayParticipant(r, 1, body.size() / 4));
-    session.SetEdgeChannel(0, id, channels.source_to_relay[r - 1]);
-    session.SetEdgeChannel(id, dest_id,
-                           channels.relay_to_destination[r - 1]);
+    session.AddParty(strategy->MakeRelayParticipant(r, 1, body.size() / 4));
   }
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);

@@ -3,18 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <utility>
+#include <stdexcept>
 #include <vector>
 
-#include "arq/link_sim.h"
-#include "arq/recovery_session.h"
-#include "arq/recovery_strategy.h"
-#include "common/crc.h"
-#include "common/rng.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
-#include "phy/chip_sequences.h"
 
 namespace ppr::engine {
 namespace {
@@ -32,8 +25,7 @@ EngineConfig SmallConfig(std::uint64_t seed = 1) {
 bool StatsEqual(const EngineStats& a, const EngineStats& b) {
   return a.flows_spawned == b.flows_spawned &&
          a.flows_completed == b.flows_completed &&
-         a.flows_failed == b.flows_failed &&
-         a.compat_completed == b.compat_completed && a.rounds == b.rounds &&
+         a.flows_failed == b.flows_failed && a.rounds == b.rounds &&
          a.repairs_sent == b.repairs_sent &&
          a.repairs_delivered == b.repairs_delivered &&
          a.batch_calls == b.batch_calls && a.batch_bytes == b.batch_bytes;
@@ -209,130 +201,6 @@ TEST(FlowEngineTest, GoldenStatsDigestUnchanged) {
     EXPECT_EQ(digest, g.digest)
         << g.name << std::hex << " digest 0x" << digest;
   }
-}
-
-// ---------------------------------------------------- compat sessions
-
-arq::GilbertElliottParams DegradedParams() {
-  arq::GilbertElliottParams params;
-  params.p_good_to_bad = 0.03;
-  params.p_bad_to_good = 0.12;
-  params.chip_error_good = 0.004;
-  params.chip_error_bad = 0.25;
-  return params;
-}
-
-arq::GilbertElliottParams StrongParams() {
-  arq::GilbertElliottParams params;
-  params.p_good_to_bad = 0.001;
-  params.p_bad_to_good = 0.5;
-  params.chip_error_good = 0.0005;
-  params.chip_error_bad = 0.05;
-  return params;
-}
-
-// The EXACT golden two-relay exchange of
-// tests/arq/recovery_session_test.cc (seeds 691-696), rebuilt as a
-// live session object so the engine can adopt it. The channel lambdas
-// hold references to the Rngs, so the rig keeps them alive and at
-// stable addresses alongside the session.
-struct GoldenRig {
-  phy::ChipCodebook cb;
-  Rng direct{692};
-  Rng overhear_a{693};
-  Rng hop_a{694};
-  Rng overhear_b{695};
-  Rng hop_b{696};
-  std::unique_ptr<arq::RecoverySession> session;
-};
-
-std::unique_ptr<GoldenRig> MakeGoldenRig() {
-  auto rig = std::make_unique<GoldenRig>();
-  Rng prng(691);
-  BitVec payload;
-  for (std::size_t i = 0; i < 180 * 8; ++i) {
-    payload.PushBack(prng.Bernoulli(0.5));
-  }
-  arq::PpArqConfig config;
-  config.recovery = arq::RecoveryMode::kRelayCodedRepair;
-  config.relay_parties = 2;
-  const auto strategy = arq::MakeRecoveryStrategy(config);
-  const BitVec body = arq::PpArqSender::MakeBody(payload);
-  const std::size_t total_codewords = body.size() / config.bits_per_codeword;
-
-  arq::SessionConfig topology;
-  topology.edges.push_back(
-      {arq::kSessionSourceId, arq::kSessionDestinationId,
-       arq::MakeGilbertElliottChannel(rig->cb, DegradedParams(),
-                                      rig->direct)});
-  topology.edges.push_back(
-      {arq::kSessionSourceId, arq::kSessionRelayId,
-       arq::MakeGilbertElliottChannel(rig->cb, StrongParams(),
-                                      rig->overhear_a)});
-  topology.edges.push_back(
-      {arq::kSessionRelayId, arq::kSessionDestinationId,
-       arq::MakeGilbertElliottChannel(rig->cb, StrongParams(), rig->hop_a)});
-  topology.edges.push_back(
-      {arq::kSessionSourceId, arq::kSessionRelayId + 1,
-       arq::MakeGilbertElliottChannel(rig->cb, StrongParams(),
-                                      rig->overhear_b)});
-  topology.edges.push_back(
-      {arq::kSessionRelayId + 1, arq::kSessionDestinationId,
-       arq::MakeGilbertElliottChannel(rig->cb, StrongParams(), rig->hop_b)});
-
-  rig->session =
-      std::make_unique<arq::RecoverySession>(std::move(topology));
-  rig->session->AddParty(strategy->MakeSourceParticipant(body, 1));
-  rig->session->AddParty(
-      strategy->MakeDestinationParticipant(1, total_codewords));
-  rig->session->AddParty(strategy->MakeRelayParticipant(1, 1, total_codewords));
-  rig->session->AddParty(strategy->MakeRelayParticipant(2, 1, total_codewords));
-  rig->session->TransmitInitial(arq::kSessionSourceId, body);
-  return rig;
-}
-
-// The same transcript serialization the arq golden test pins.
-std::uint32_t TranscriptCrc(const arq::SessionRunStats& stats) {
-  BitVec transcript;
-  transcript.AppendUint(stats.rounds, 16);
-  transcript.AppendUint(stats.totals.data_transmissions, 16);
-  transcript.AppendUint(stats.totals.forward_bits, 32);
-  transcript.AppendUint(stats.totals.feedback_bits, 32);
-  for (const auto& party : stats.parties) {
-    transcript.AppendUint(party.repair_bits, 32);
-    transcript.AppendUint(party.repair_messages, 16);
-    transcript.AppendUint(party.feedback_bits, 32);
-  }
-  for (const auto bits : stats.totals.retransmission_bits) {
-    transcript.AppendUint(bits, 32);
-  }
-  return Crc32Bits(transcript);
-}
-
-// The compat pin: adopting the golden session into the engine —
-// where its rounds interleave with other flows' scheduler events —
-// must reproduce the direct session.Run(32) transcript bit for bit,
-// CRC-pinned to the same constant tests/arq pins.
-TEST(FlowEngineTest, CompatSessionPreservesGoldenTranscript) {
-  constexpr std::uint32_t kGoldenTranscriptCrc = 0x074B461A;
-
-  const auto direct_rig = MakeGoldenRig();
-  const arq::SessionRunStats direct = direct_rig->session->Run(32);
-  ASSERT_TRUE(direct.totals.success);
-  EXPECT_EQ(TranscriptCrc(direct), kGoldenTranscriptCrc);
-
-  auto engine_rig = MakeGoldenRig();
-  FlowEngine engine(SmallConfig());
-  // Native flows interleave with the compat session on the same queue.
-  for (FlowId f = 0; f < 32; ++f) engine.SpawnFlow(f);
-  const std::size_t index = engine.AddCompatSession(
-      std::move(engine_rig->session), /*max_rounds=*/32);
-  engine.RunAll();
-  ASSERT_TRUE(engine.CompatDone(index));
-  const arq::SessionRunStats& via_engine = engine.CompatResult(index);
-  EXPECT_TRUE(via_engine.totals.success);
-  EXPECT_EQ(TranscriptCrc(via_engine), kGoldenTranscriptCrc);
-  EXPECT_EQ(engine.stats().compat_completed, 1u);
 }
 
 }  // namespace

@@ -34,12 +34,21 @@ TEST(RlncTest, RepairCoefficientsAreDeterministicPerSeed) {
   EXPECT_EQ(a.size(), 16u);
 }
 
+TEST(RlncTest, RepairCoefficientsIntoMatchesAllocatingForm) {
+  for (std::uint32_t seed : {0u, 1u, 42u, 0xFFFFFFFFu}) {
+    const auto want = RepairCoefficients(seed, 24);
+    std::vector<std::uint8_t> got(24);
+    RepairCoefficientsInto(seed, got);
+    EXPECT_EQ(got, want) << "seed=" << seed;
+  }
+}
+
 TEST(RlncTest, SystematicRoundtripNoLoss) {
   Rng rng(301);
   const auto block = RandomBlock(rng, 12, 20);
   RlncDecoder decoder(12, 20);
   for (std::size_t i = 0; i < block.size(); ++i) {
-    EXPECT_TRUE(decoder.AddSource(i, block[i]));
+    EXPECT_TRUE(decoder.AddSourceSpan(i, block[i]));
   }
   ASSERT_TRUE(decoder.Complete());
   for (std::size_t i = 0; i < block.size(); ++i) {
@@ -61,7 +70,7 @@ void RoundtripAtLoss(double loss, std::uint64_t seed) {
     if (rng.Bernoulli(loss)) {
       ++erased;
     } else {
-      decoder.AddSource(i, block[i]);
+      decoder.AddSourceSpan(i, block[i]);
     }
   }
   std::uint32_t next_seed = 1;
@@ -102,8 +111,8 @@ TEST(RlncTest, DuplicatesDoNotIncreaseRank) {
   const auto block = RandomBlock(rng, 8, 4);
   RlncEncoder encoder(block);
   RlncDecoder decoder(8, 4);
-  EXPECT_TRUE(decoder.AddSource(3, block[3]));
-  EXPECT_FALSE(decoder.AddSource(3, block[3]));
+  EXPECT_TRUE(decoder.AddSourceSpan(3, block[3]));
+  EXPECT_FALSE(decoder.AddSourceSpan(3, block[3]));
   const auto repair = encoder.MakeRepair(99);
   EXPECT_TRUE(decoder.AddRepair(repair));
   EXPECT_FALSE(decoder.AddRepair(repair));
@@ -112,11 +121,11 @@ TEST(RlncTest, DuplicatesDoNotIncreaseRank) {
 
 TEST(RlncTest, RejectsShapeMismatch) {
   RlncDecoder decoder(4, 8);
-  EXPECT_THROW(decoder.AddEquation(std::vector<std::uint8_t>(3, 1),
-                                   std::vector<std::uint8_t>(8, 0)),
+  EXPECT_THROW(decoder.AddEquationSpan(std::vector<std::uint8_t>(3, 1),
+                                       std::vector<std::uint8_t>(8, 0)),
                std::invalid_argument);
-  EXPECT_THROW(decoder.AddEquation(std::vector<std::uint8_t>(4, 1),
-                                   std::vector<std::uint8_t>(7, 0)),
+  EXPECT_THROW(decoder.AddEquationSpan(std::vector<std::uint8_t>(4, 1),
+                                       std::vector<std::uint8_t>(7, 0)),
                std::invalid_argument);
   EXPECT_THROW(RlncEncoder({}), std::invalid_argument);
   EXPECT_THROW(RlncEncoder({{1, 2}, {3}}), std::invalid_argument);
@@ -142,7 +151,7 @@ TEST(RlncTest, EncodeAndDecodeAreBackendInvariant) {
     const RlncEncoder encoder(block);
     Transcript t;
     RlncDecoder decoder(n, bytes);
-    for (std::size_t i = 8; i < n; ++i) decoder.AddSource(i, block[i]);
+    for (std::size_t i = 8; i < n; ++i) decoder.AddSourceSpan(i, block[i]);
     std::uint32_t seed = 1;
     while (!decoder.Complete()) {
       t.repairs.push_back(encoder.MakeRepair(seed++));
@@ -183,7 +192,7 @@ TEST(RlncTest, ResetReturnsToRankZeroAndDecodesAgain) {
   decoder.Reset();
   EXPECT_EQ(decoder.rank(), 0u);
   EXPECT_FALSE(decoder.Complete());
-  for (std::size_t i = 0; i < 4; ++i) decoder.AddSource(i, block[i]);
+  for (std::size_t i = 0; i < 4; ++i) decoder.AddSourceSpan(i, block[i]);
   for (std::uint32_t s = 100; decoder.rank() < 8; ++s) {
     decoder.AddRepair(encoder.MakeRepair(s));
   }

@@ -50,7 +50,8 @@ TEST(TracerTest, RecordsInstantAndCompleteEvents) {
 TEST(TracerTest, RingEvictsOldestAndCountsDropped) {
   Tracer tracer(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    tracer.Instant("e" + std::to_string(i), "test");
+    const char name[] = {'e', static_cast<char>('0' + i), '\0'};
+    tracer.Instant(name, "test");
   }
   EXPECT_EQ(tracer.size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "arq/link_sim.h"
+
 namespace ppr::core {
 namespace {
 
@@ -64,8 +66,8 @@ TEST(WaveformChannelTest, NoisyChannelReportsBadHints) {
 TEST(WaveformPpArqTest, CompletesOverCleanLink) {
   arq::PpArqConfig arq_config;
   Rng rng(224);
-  const auto stats =
-      RunWaveformPpArq(150, arq_config, CleanParams(), rng);
+  const auto stats = arq::RunPpArqExchange(
+      RandomPayload(150, rng), arq_config, MakeWaveformChannel(CleanParams()));
   EXPECT_TRUE(stats.success);
   EXPECT_EQ(stats.data_transmissions, 1u);
 }
@@ -78,13 +80,16 @@ TEST(WaveformPpArqTest, RecoversFromCollisions) {
   params.seed = 41;
   arq::PpArqConfig arq_config;
   Rng rng(225);
-  const auto stats = RunWaveformPpArq(250, arq_config, params, rng);
+  const auto stats = arq::RunPpArqExchange(RandomPayload(250, rng), arq_config,
+                                           MakeWaveformChannel(params));
   EXPECT_TRUE(stats.success);
 }
 
 TEST(WaveformPpArqTest, PartialRetransmissionsSmallerThanPacket) {
   // The Figure 16 property on the real waveform link: retransmission
-  // frames are (median) well below the 250-byte packet size.
+  // frames are (median) well below the 250-byte packet size. One
+  // channel carries the whole run, so every packet sees fresh noise and
+  // collision draws.
   auto params = CleanParams();
   params.collision_probability = 0.6;
   params.interferer_relative_db = 0.0;
@@ -92,10 +97,12 @@ TEST(WaveformPpArqTest, PartialRetransmissionsSmallerThanPacket) {
   params.seed = 42;
   arq::PpArqConfig arq_config;
   Rng rng(226);
+  const auto channel = MakeWaveformChannel(params);
 
   std::vector<std::size_t> retx_bits;
   for (int i = 0; i < 6; ++i) {
-    const auto stats = RunWaveformPpArq(250, arq_config, params, rng);
+    const auto stats =
+        arq::RunPpArqExchange(RandomPayload(250, rng), arq_config, channel);
     EXPECT_TRUE(stats.success);
     retx_bits.insert(retx_bits.end(), stats.retransmission_bits.begin(),
                      stats.retransmission_bits.end());

@@ -179,6 +179,20 @@ TEST(WindowDecoderTest, ReorderedRepairBeforeItsSourceSymbols) {
   EXPECT_FALSE(out[2].recovered);
 }
 
+TEST(WindowDecoderTest, RepairOverKnownSymbolsAddsNoRank) {
+  WindowEncoder enc(4, kBytes);
+  WindowDecoder dec(4, kBytes);
+  Rng rng(7);
+  const auto sent = PushN(enc, rng, 2);
+  EXPECT_TRUE(dec.AddSource(0, sent[0]));
+  EXPECT_TRUE(dec.AddSource(1, sent[1]));
+  // Every column the repair spans is already known: nothing to bank.
+  EXPECT_FALSE(dec.AddRepair(enc.MakeRepair(5)));
+  EXPECT_EQ(dec.rank(), 0u);
+  EXPECT_EQ(dec.Deficit(), 0u);
+  EXPECT_EQ(dec.PopDeliverable().size(), 2u);
+}
+
 TEST(WindowDecoderTest, DuplicateAndStaleSourceFramesAreCounted) {
   WindowEncoder enc(4, kBytes);
   WindowDecoder dec(4, kBytes);
